@@ -217,7 +217,13 @@ def cmd_solve(args) -> int:
 # -- table / conjecture ---------------------------------------------------------
 
 
+def _check_range(args) -> None:
+    if args.lo > args.hi:
+        raise ValueError(f"empty range: --from {args.lo} is greater than --to {args.hi}")
+
+
 def cmd_table(args) -> int:
+    _check_range(args)
     _warn_raised_limits(args)
     rows = solver.table_voids(args.lo, args.hi, width_limit=args.dp_width)
     _emit(
@@ -238,6 +244,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    _check_range(args)
     _warn_raised_limits(args)
     rows = solver.check_conjecture(args.lo, args.hi, width_limit=args.dp_width)
     _emit(

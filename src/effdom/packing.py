@@ -133,7 +133,7 @@ def set_from_json(obj: dict) -> tuple[Lattice, tuple[Coord, ...]]:
     lattice = Lattice.from_descriptor(obj["lattice"])
     members = []
     for entry in obj["set"]:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, int) for x in entry)):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(type(x) is int for x in entry)):
             raise ValueError(f"set entries must be [i, j] pairs, got {entry!r}")
         members.append((entry[0], entry[1]))
     return lattice, normalize_set(members)

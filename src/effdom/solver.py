@@ -12,13 +12,25 @@ Columns three or more apart are already at distance >= 3, so the
 two-column profile captures the 2-packing condition exactly.  The
 objective adds 1 + deg for every picked vertex with true boundary
 degrees, which for a 2-packing equals the number of dominated vertices.
-Witnesses are rebuilt from back-pointers and audited before returning.
+
+The sweep is a max-plus transfer-matrix product over integer pair ids
+(Alanko, Crevals, Isopoussu, Östergård & Pettersson, EJC 2011).  The
+valid (A, B) column pairs are numbered 0..P-1 in sorted order, and each
+state's predecessor list ((A, B) precedes (B, C) when A & C == 0) is
+built once per call.  Every column is then one pull step over flat
+lists: each state takes its best predecessor plus a weight that depends
+only on whether the column is the first or the last.  Back-pointers are
+one ``array('i')`` per column.  ``explored`` counts the transitions out
+of reached states, summed over the columns.  Witnesses are rebuilt from
+the back-pointers and audited before returning.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 from .constructions import conjectured_F, predicted_voids
@@ -128,6 +140,11 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
             f"{rows} rows exceeds the DP width limit {width_limit}; "
             "swap the dimensions (F is transpose-invariant) or raise the limit"
         )
+    # Imported here, not at the top: loading the array extension adds about
+    # 0.2 MB of resident memory to every process, also those that never run
+    # the DP (oracle, audit and render commands).
+    from array import array
+
     m, n = rows, cols
     t0 = time.perf_counter()
 
@@ -137,51 +154,57 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
     near = {B: (B | (B << 1) | (B >> 1)) & full for B in masks}
     compat = {B: [C for C in masks if C & near[B] == 0] for B in masks}
 
-    def column_weights(c: int) -> dict[int, int]:
-        per_row = [
-            1 + (r > 0) + (r < m - 1) + (c > 1) + (c < n)
-            for r in range(m)
-        ]
-        return {C: sum(per_row[r] for r in _bits(C)) for C in masks}
+    # State ids number the valid (A, B) pairs in sorted order.  (A, B)
+    # precedes (B, C) when A & C == 0; each predecessor list is ascending,
+    # so max() returns the smallest maximal id, as a strict > over sorted
+    # states would.
+    pairs = [(A, B) for A in masks for B in compat[A]]
+    ending_in: dict[int, list[tuple[int, int]]] = {B: [] for B in masks}
+    for p, (A, B) in enumerate(pairs):
+        ending_in[B].append((p, A))
+    pred = [[p for p, A in ending_in[B] if not A & C] for (B, C) in pairs]
+    fan_out = Counter(chain.from_iterable(pred))
+    out_degree = [fan_out[p] for p in range(len(pairs))]
+    all_out = sum(out_degree)
 
-    weight_cache: dict[tuple[bool, bool], dict[int, int]] = {}
+    def weights_for(first: bool, last: bool) -> list[int]:
+        per_row = [1 + (r > 0) + (r < m - 1) + first + last for r in range(m)]
+        cw = {C: sum(per_row[r] for r in _bits(C)) for C in masks}
+        return [cw[C] for (_, C) in pairs]
 
-    def weights_for(c: int) -> dict[int, int]:
+    weight_cache: dict[tuple[bool, bool], list[int]] = {}
+
+    # Unreached states start far enough below zero to stay negative after
+    # n columns of weights (each at most 5 per row), so reached <=> >= 0.
+    unreached = -1 - 5 * m * n
+    start = pairs.index((0, 0))
+    val = [unreached] * len(pairs)
+    val[start] = 0
+    reached_out = out_degree[start]
+    explored = 0
+    back_pointers: list[array] = []
+    for c in range(1, n + 1):
         key = (c > 1, c < n)
         if key not in weight_cache:
-            weight_cache[key] = column_weights(c)
-        return weight_cache[key]
-
-    explored = 0
-    states: dict[tuple[int, int], int] = {(0, 0): 0}
-    back_pointers: list[dict[tuple[int, int], int]] = []
-    for c in range(1, n + 1):
-        cw = weights_for(c)
-        nxt: dict[tuple[int, int], int] = {}
-        back: dict[tuple[int, int], int] = {}
-        for (A, B) in sorted(states):
-            base = states[(A, B)]
-            for C in compat[B]:
-                if A & C:
-                    continue
-                explored += 1
-                value = base + cw[C]
-                key = (B, C)
-                if value > nxt.get(key, -1):
-                    nxt[key] = value
-                    back[key] = A
+            weight_cache[key] = weights_for(*key)
+        explored += reached_out
+        score = val.__getitem__
+        back = array("i", [max(ps, key=score) for ps in pred])
+        val = [val[b] + x for b, x in zip(back, weight_cache[key])]
         back_pointers.append(back)
-        states = nxt
+        # Every state has out-degree >= 1 (C = 0 always fits), so the sum
+        # reaches all_out exactly when every state is reached, and stays.
+        if reached_out != all_out:
+            reached_out = sum(d for d, v in zip(out_degree, val) if v >= 0)
 
-    best_value = max(states.values())
-    final = min(key for key, value in states.items() if value == best_value)
+    best_value = max(val)
+    state = val.index(best_value)
 
     # Walk the back-pointers right to left to recover one mask per column.
     column_masks = [0] * (n + 1)
-    key = final
     for c in range(n, 0, -1):
-        column_masks[c] = key[1]
-        key = (back_pointers[c - 1][key], key[0])
+        column_masks[c] = pairs[state][1]
+        state = back_pointers[c - 1][state]
     witness = normalize_set(
         (r + 1, c) for c in range(1, n + 1) for r in _bits(column_masks[c])
     )

@@ -6,6 +6,8 @@ import itertools
 import random
 from collections import deque
 
+from effdom.packing import normalize_set
+
 
 def bfs_distance(graph, u, v):
     """Plain BFS shortest path, independent of any closed-form distance."""
@@ -69,3 +71,61 @@ def exhaustive_max_influence(graph):
                 value = sum(1 + graph.degree(v) for v in combo)
                 best = max(best, value)
     return best
+
+
+def reference_dp_rect(m, n):
+    """Exact (F, witness, explored) of the m x n grid by the dict-keyed
+    column sweep over sorted (A, B) states: the loop form of ``dp_F_rect``,
+    kept as the oracle for its values, witnesses and tie-breaking."""
+    def bits(mask):
+        return [r for r in range(m) if mask >> r & 1]
+
+    masks = [
+        mask
+        for mask in range(1 << m)
+        if not (mask & (mask << 1)) and not (mask & (mask << 2))
+    ]
+    full = (1 << m) - 1
+    near = {B: (B | (B << 1) | (B >> 1)) & full for B in masks}
+    compat = {B: [C for C in masks if C & near[B] == 0] for B in masks}
+
+    def column_weights(c):
+        per_row = [
+            1 + (r > 0) + (r < m - 1) + (c > 1) + (c < n)
+            for r in range(m)
+        ]
+        return {C: sum(per_row[r] for r in bits(C)) for C in masks}
+
+    explored = 0
+    states = {(0, 0): 0}
+    back_pointers = []
+    for c in range(1, n + 1):
+        cw = column_weights(c)
+        nxt = {}
+        back = {}
+        for (A, B) in sorted(states):
+            base = states[(A, B)]
+            for C in compat[B]:
+                if A & C:
+                    continue
+                explored += 1
+                value = base + cw[C]
+                key = (B, C)
+                if value > nxt.get(key, -1):
+                    nxt[key] = value
+                    back[key] = A
+        back_pointers.append(back)
+        states = nxt
+
+    best_value = max(states.values())
+    final = min(key for key, value in states.items() if value == best_value)
+
+    column_masks = [0] * (n + 1)
+    key = final
+    for c in range(n, 0, -1):
+        column_masks[c] = key[1]
+        key = (back_pointers[c - 1][key], key[0])
+    witness = normalize_set(
+        (r + 1, c) for c in range(1, n + 1) for r in bits(column_masks[c])
+    )
+    return best_value, witness, explored

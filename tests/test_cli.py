@@ -109,6 +109,13 @@ def test_verify_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_rejects_boolean_coordinates(capsys, tmp_path):
+    path = tmp_path / "bools.json"
+    path.write_text('{"lattice": "rect:3x3", "set": [[true, 1]]}')
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and "error" in err
+
+
 def test_verify_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr(
         "sys.stdin", io.StringIO('{"lattice": "rect:2x5", "set": [[1,1],[1,5],[2,3]]}')
@@ -181,6 +188,11 @@ def test_conjecture_rows(capsys):
     assert [r["dp_value"] for r in payload["rows"]] == [44, 58, 77, 92]
 
 
+def test_conjecture_reversed_range_usage_error(capsys):
+    code, out, err = run(capsys, "conjecture", "--from", "9", "--to", "7")
+    assert code == 2 and out == "" and "error" in err
+
+
 def test_table_rows_and_skipping(capsys):
     code, payload, _ = run_json(
         capsys, "table", "--from", "7", "--to", "18", "--dp-width", "9"
@@ -190,6 +202,11 @@ def test_table_rows_and_skipping(capsys):
     assert rows[0] == {"n": 7, "predicted_voids": 5, "dp_voids": 5, "match": True, "verified": True}
     assert rows[-1]["verified"] is False and rows[-1]["dp_voids"] is None
     assert rows[-1]["predicted_voids"] == 14
+
+
+def test_table_reversed_range_usage_error(capsys):
+    code, out, err = run(capsys, "table", "--from", "9", "--to", "7")
+    assert code == 2 and out == "" and "error" in err
 
 
 # -- motif ----------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import exhaustive_max_influence
+from conftest import exhaustive_max_influence, reference_dp_rect
 from effdom.lattice import hexa, rect, tri
 from effdom.packing import audit
 from effdom.solver import (
@@ -141,6 +141,15 @@ def test_dp_deterministic():
     a = dp_F_rect(6, 9)
     b = dp_F_rect(6, 9)
     assert a.witness == b.witness and a.explored == b.explored
+
+
+@pytest.mark.parametrize(
+    "m,n",
+    [(m, n) for m in range(1, 9) for n in range(1, 15)] + [(10, 300), (12, 12)],
+)
+def test_dp_matches_reference_sweep(m, n):
+    result = dp_F_rect(m, n)
+    assert (result.f_value, result.witness, result.explored) == reference_dp_rect(m, n)
 
 
 def test_dp_rejects_degenerate():
