@@ -7,7 +7,8 @@ order, no timing data); timings go to stderr.
 Exit codes: 0 success (for ``verify``: the set is an efficient dominating
 set), 1 a valid 2-packing that leaves voids (or a construction whose
 audit missed its contract), 2 usage or parse errors, 3 the set is not a
-2-packing.
+2-packing, 4 an internal error (a bug in effdom, reported on one stderr
+line).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_VOIDS = 1
 EXIT_USAGE = 2
 EXIT_CONFLICTS = 3
+EXIT_INTERNAL = 4
 
 
 def _dumps(obj, pad: str = "") -> str:
@@ -358,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Efficient domination (perfect 1-codes) on lattice graphs: "
         "constructions, audits, exact solvers and periodic motifs.",
         epilog="Exit codes: 0 ok / efficient dominating set; 1 valid 2-packing "
-        "with voids; 2 usage or parse error; 3 not a 2-packing.",
+        "with voids; 2 usage or parse error; 3 not a 2-packing; "
+        "4 internal error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -422,6 +425,11 @@ def main(argv: Iterable[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Any other failure is a bug, not a verdict: keep it off exit 1
+        # ("valid 2-packing with voids") and off the traceback path.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

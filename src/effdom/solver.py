@@ -1,8 +1,16 @@
 """Exact maximum-influence 2-packing solvers.
 
 ``brute_force_F`` is a depth-first backtracking oracle over any small
-graph (lattice or pendant-augmented).  ``dp_F_rect`` sweeps a bounded
-rectangular grid column by column with a two-column bitmask profile:
+graph (lattice or pendant-augmented).  Vertex t in row-major order is
+bit t: each closed neighbourhood is compiled once into an int mask, and
+the search keeps the covered and chosen vertices as two ints.  It runs
+as one loop without recursion: the loop walks the include-first spine
+inline and keeps only the pending skip branches on an explicit stack,
+so nodes are entered in the same order as the plain recursive search.
+Its ``explored`` counts the search nodes entered.
+
+``dp_F_rect`` sweeps a bounded rectangular grid column by column with a
+two-column bitmask profile:
 
 * inside one column, picked rows must be >= 3 apart;
 * between adjacent columns, picked rows must differ by >= 2;
@@ -59,48 +67,62 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     influence found so far; the witness is the first optimum reached,
     which the include-before-skip order makes deterministic.
     """
-    order = list(graph.vertices())
-    count = len(order)
+    count = graph.vertex_count
     if count > limit:
         raise ValueError(
             f"{count} vertices exceeds the brute-force limit {limit}; "
             "use dp_F_rect for rectangular grids or raise the limit"
         )
+    order = list(graph.vertices())
     index = {v: t for t, v in enumerate(order)}
     weights = [1 + graph.degree(v) for v in order]
-    closed = [[index[v]] + [index[u] for u in graph.neighbors(v)] for v in order]
+    # Vertex t is bit t; closed[t] is the closed neighbourhood of t as a mask.
+    closed = []
+    for t, v in enumerate(order):
+        mask = 1 << t
+        for u in graph.neighbors(v):
+            mask |= 1 << index[u]
+        closed.append(mask)
     suffix = [0] * (count + 1)
     for t in range(count - 1, -1, -1):
         suffix[t] = suffix[t + 1] + weights[t]
 
-    coverage = [0] * count
-    chosen: list[int] = []
-    best_value = -1
-    best_set: list[int] = []
-    explored = 0
-
     t0 = time.perf_counter()
 
-    def dfs(t: int, value: int) -> None:
-        nonlocal best_value, best_set, explored
-        explored += 1
-        if value > best_value:
-            best_value = value
-            best_set = list(chosen)
-        if t == count or value + suffix[t] <= best_value:
-            return
-        if all(coverage[x] == 0 for x in closed[t]):
-            for x in closed[t]:
-                coverage[x] += 1
-            chosen.append(t)
-            dfs(t + 1, value + weights[t])
-            chosen.pop()
-            for x in closed[t]:
-                coverage[x] -= 1
-        dfs(t + 1, value)
+    # The root (no vertex chosen, value 0) is the first optimum reached.
+    best_value = 0
+    best_chosen = 0
+    explored = 0
+    # Each entry is a skip branch still to enter: (t, value, covered, chosen).
+    stack = [(0, 0, 0, 0)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        t, value, covered, chosen = pop()
+        # Walk the include-first spine: the popped node and each step to
+        # t + 1 enter one node, so the walk enters 1 + (final t - popped t)
+        # nodes.  A failed loop test prunes the node just entered;
+        # value + suffix[count] never exceeds best_value, so the spine also
+        # ends after the last vertex.
+        explored += 1 - t
+        while value + suffix[t] > best_value:
+            mask = closed[t]
+            # Chosen closed neighbourhoods are disjoint, so t can join
+            # exactly when none of its closed neighbourhood is covered.
+            if not covered & mask:
+                push((t + 1, value, covered, chosen))
+                covered |= mask
+                chosen |= 1 << t
+                value += weights[t]
+                # Only an include raises the value; a skip child keeps its
+                # parent's value, which never beats best_value.
+                if value > best_value:
+                    best_value = value
+                    best_chosen = chosen
+            t += 1
+        explored += t
 
-    dfs(0, 0)
-    witness = normalize_set(order[t] for t in best_set)
+    witness = normalize_set(v for t, v in enumerate(order) if best_chosen >> t & 1)
     elapsed = time.perf_counter() - t0
     report = audit(graph, witness)
     if not report.is_two_packing or report.influence != best_value:

@@ -129,3 +129,45 @@ def reference_dp_rect(m, n):
         (r + 1, c) for c in range(1, n + 1) for r in bits(column_masks[c])
     )
     return best_value, witness, explored
+
+
+def reference_brute_force(graph):
+    """Exact (F, witness, explored) by the recursive include-first search
+    over coverage counts: the recursive form of ``brute_force_F``, kept as
+    the oracle for its values, witnesses and node counts."""
+    order = list(graph.vertices())
+    count = len(order)
+    index = {v: t for t, v in enumerate(order)}
+    weights = [1 + graph.degree(v) for v in order]
+    closed = [[index[v]] + [index[u] for u in graph.neighbors(v)] for v in order]
+    suffix = [0] * (count + 1)
+    for t in range(count - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + weights[t]
+
+    coverage = [0] * count
+    chosen = []
+    best_value = -1
+    best_set = []
+    explored = 0
+
+    def dfs(t, value):
+        nonlocal best_value, best_set, explored
+        explored += 1
+        if value > best_value:
+            best_value = value
+            best_set = list(chosen)
+        if t == count or value + suffix[t] <= best_value:
+            return
+        if all(coverage[x] == 0 for x in closed[t]):
+            for x in closed[t]:
+                coverage[x] += 1
+            chosen.append(t)
+            dfs(t + 1, value + weights[t])
+            chosen.pop()
+            for x in closed[t]:
+                coverage[x] -= 1
+        dfs(t + 1, value)
+
+    dfs(0, 0)
+    witness = normalize_set(order[t] for t in best_set)
+    return best_value, witness, explored

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from effdom import solver
 from effdom.cli import main
 from effdom.lattice import rect, tri
 from effdom.packing import audit
@@ -176,6 +177,18 @@ def test_solve_transposes_wide_grids(capsys):
 def test_solve_bad_descriptor(capsys):
     code, _, err = run(capsys, "solve", "blob:9x9")
     assert code == 2 and "descriptor" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(graph, limit):
+        raise AssertionError("brute-force witness failed its audit")
+
+    monkeypatch.setattr(solver, "brute_force_F", broken)
+    code, out, err = run(capsys, "solve", "tri:3", "--method", "brute")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: AssertionError: brute-force witness failed its audit\n"
+    assert "Traceback" not in err
 
 
 # -- table / conjecture --------------------------------------------------------

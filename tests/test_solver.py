@@ -1,9 +1,11 @@
+import inspect
 import random
+import sys
 
 import pytest
 
-from conftest import exhaustive_max_influence, reference_dp_rect
-from effdom.lattice import hexa, rect, tri
+from conftest import exhaustive_max_influence, reference_brute_force, reference_dp_rect
+from effdom.lattice import Lattice, hexa, rect, tri
 from effdom.packing import audit
 from effdom.solver import (
     ConjectureRow,
@@ -63,6 +65,54 @@ def test_brute_force_vertex_limit():
         brute_force_F(rect(4, 4), limit=10)
     # an explicit limit unlocks instances the default refuses
     assert brute_force_F(rect(4, 4), limit=16).f_value == 16
+
+
+def test_brute_force_limit_checked_before_listing_vertices(monkeypatch):
+    def refuse(self):
+        raise AssertionError("vertices listed before the limit check")
+
+    monkeypatch.setattr(Lattice, "vertices", refuse)
+    with pytest.raises(ValueError, match="exceeds the brute-force limit 49"):
+        brute_force_F(rect(8, 8))
+
+
+def test_brute_force_needs_no_recursion():
+    # The search over 49 vertices must not nest one frame per vertex.
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        assert brute_force_F(rect(7, 7)).f_value == 44
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def _augmented_3x3():
+    from effdom.constructions import fset_pn_p3, near_grid_augment
+
+    return near_grid_augment(rect(3, 3), fset_pn_p3(3))[0]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [rect(m, n) for m in range(1, 26) for n in range(1, 25 // m + 1)]
+    + [
+        Lattice.from_descriptor(d)
+        for d in (
+            "rect-torus:3x5",
+            "rect-torus:5x5",
+            "tri:5",
+            "tri:6",
+            "tri-torus:4x4",
+            "hex:4x6",
+            "hex-torus:4x6",
+        )
+    ]
+    + [_augmented_3x3()],
+    ids=lambda g: g.descriptor(),
+)
+def test_brute_matches_reference_search(graph):
+    result = brute_force_F(graph)
+    assert (result.f_value, result.witness, result.explored) == reference_brute_force(graph)
 
 
 def test_brute_force_deterministic():
