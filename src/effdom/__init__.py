@@ -45,7 +45,6 @@ from .solver import (
     brute_force_F,
     check_conjecture,
     dp_F_rect,
-    table_voids,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +85,6 @@ __all__ = [
     "predicted_voids",
     "rect",
     "rect_code_motif",
-    "table_voids",
     "transpose_set",
     "tri",
     "tri_code_motif",

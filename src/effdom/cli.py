@@ -14,12 +14,13 @@ line).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Iterable
 
 from . import constructions, periodic, solver
-from .lattice import Lattice, LatticeKind, rect
+from .lattice import Lattice, LatticeKind
 from .packing import (
     DominationReport,
     audit,
@@ -76,69 +77,26 @@ def _load_set_file(path: str) -> tuple[Lattice, tuple]:
     return set_from_json(json.loads(text))
 
 
-# -- construct ----------------------------------------------------------------
-
-_CONSTRUCTIONS = ("eds-p2", "p2-even", "p3", "square", "knight")
-
-
-def _run_construction(name: str, n: int) -> tuple[Lattice, tuple]:
-    if name == "eds-p2":
-        return rect(2, n), constructions.eds_pn_p2(n)
-    if name == "p2-even":
-        return rect(2, n), constructions.fset_pn_p2_even(n)
-    if name == "p3":
-        return rect(3, n), constructions.fset_pn_p3(n)
-    if name == "square":
-        if n == 4:
-            return rect(4, 4), constructions.eds_p4_p4()
-        return rect(n, n), constructions.fset_square_small(n)
-    if name == "knight":
-        pattern = constructions.knight_construction(n)
-        return pattern.lattice(), pattern.full_set
-    raise ValueError(f"unknown construction {name!r}")
-
-
-def _construction_contract(name: str, n: int, report: DominationReport) -> bool:
-    if name == "eds-p2":
-        return report.is_eds and report.influence == 2 * n
-    if name == "p2-even":
-        return report.is_two_packing and report.influence == 2 * n - 1 and len(report.voids) == 1
-    if name == "p3":
-        expected = 7 if n == 3 else 3 * n - n // 3
-        expected_voids = 2 if n == 3 else n // 3
-        return (
-            report.is_two_packing
-            and report.influence == expected
-            and len(report.voids) == expected_voids
-        )
-    if name == "square":
-        if n == 4:
-            return report.is_eds
-        return report.is_two_packing and report.influence == {5: 23, 6: 33}[n]
-    if name == "knight":
-        boundary = all(i in (1, n) or j in (1, n) for i, j in report.voids)
-        return (
-            report.is_two_packing
-            and boundary
-            and len(report.voids) == constructions.predicted_voids(n)
-        )
-    return False
-
-
-def cmd_construct(args) -> int:
-    lattice, members = _run_construction(args.name, args.n)
-    report = audit(lattice, members)
-    payload = {
-        "construction": args.name,
-        "n": args.n,
+def _audited_set(lattice: Lattice, members, report: DominationReport) -> dict:
+    return {
         "lattice": lattice.descriptor(),
         "set": [vertex_to_json(v) for v in members],
         "report": report_to_json(report),
     }
-    _emit(payload)
+
+
+# -- construct ----------------------------------------------------------------
+
+
+def cmd_construct(args) -> int:
+    construction = constructions.CONSTRUCTIONS[args.name]
+    lattice = construction.lattice(args.n)
+    members = construction.build(args.n)
+    report = audit(lattice, members)
+    _emit({"construction": args.name, "n": args.n, **_audited_set(lattice, members, report)})
     if args.render:
         print(_render_text(args.render, lattice, members, report, _style(args)))
-    return EXIT_OK if _construction_contract(args.name, args.n, report) else EXIT_VOIDS
+    return EXIT_OK if construction.contract(args.n, report) else EXIT_VOIDS
 
 
 # -- verify -------------------------------------------------------------------
@@ -149,13 +107,7 @@ def cmd_verify(args) -> int:
     if args.lattice:
         lattice = Lattice.from_descriptor(args.lattice)
     report = audit(lattice, members)
-    _emit(
-        {
-            "lattice": lattice.descriptor(),
-            "set": [vertex_to_json(v) for v in members],
-            "report": report_to_json(report),
-        }
-    )
+    _emit(_audited_set(lattice, members, report))
     if not report.is_two_packing:
         return EXIT_CONFLICTS
     return EXIT_OK if report.is_eds else EXIT_VOIDS
@@ -174,12 +126,7 @@ def _solve_lattice(lattice: Lattice, method: str, brute_limit: int, dp_width: in
         if lattice.rows <= dp_width:
             return solver.dp_F_rect(lattice.rows, lattice.cols, width_limit=dp_width)
         result = solver.dp_F_rect(lattice.cols, lattice.rows, width_limit=dp_width)
-        return solver.SolveResult(
-            f_value=result.f_value,
-            witness=transpose_set(result.witness),
-            explored=result.explored,
-            elapsed=result.elapsed,
-        )
+        return dataclasses.replace(result, witness=transpose_set(result.witness))
     return solver.brute_force_F(lattice, limit=brute_limit)
 
 
@@ -187,17 +134,13 @@ def _warn_raised_limits(args) -> None:
     brute_limit = getattr(args, "brute_limit", solver.BRUTE_FORCE_LIMIT)
     dp_width = getattr(args, "dp_width", solver.DP_WIDTH_LIMIT)
     if brute_limit > solver.BRUTE_FORCE_LIMIT:
-        print(
-            f"warning: brute-force limit raised to {brute_limit} vertices; "
-            "runtime grows exponentially",
-            file=sys.stderr,
-        )
+        _warn(f"brute-force limit raised to {brute_limit} vertices; runtime grows exponentially")
     if dp_width > solver.DP_WIDTH_LIMIT:
-        print(
-            f"warning: DP width raised to {dp_width} rows; "
-            "the profile state space grows exponentially",
-            file=sys.stderr,
-        )
+        _warn(f"DP width raised to {dp_width} rows; the profile state space grows exponentially")
+
+
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def cmd_solve(args) -> int:
@@ -224,46 +167,31 @@ def _check_range(args) -> None:
         raise ValueError(f"empty range: --from {args.lo} is greater than --to {args.hi}")
 
 
-def cmd_table(args) -> int:
+def _emit_square_rows(args, view) -> int:
+    """One row per n x n square from ``check_conjecture``, shown by ``view``."""
     _check_range(args)
     _warn_raised_limits(args)
-    rows = solver.table_voids(args.lo, args.hi, width_limit=args.dp_width)
-    _emit(
-        {
-            "rows": [
-                {
-                    "n": r.n,
-                    "predicted_voids": r.predicted,
-                    "dp_voids": r.dp_voids,
-                    "match": r.matches,
-                    "verified": r.dp_voids is not None,
-                }
-                for r in rows
-            ]
-        }
-    )
+    rows = [
+        {"n": r.n, **view(r), "match": r.matches, "verified": r.dp_value is not None}
+        for r in solver.check_conjecture(args.lo, args.hi, width_limit=args.dp_width)
+    ]
+    _emit({"rows": rows})
     return EXIT_OK
+
+
+def cmd_table(args) -> int:
+    # Voids are n^2 - F: predicted from the conjectured F, exact from the DP.
+    def voids(n: int, f: int | None) -> int | None:
+        return None if f is None else n * n - f
+
+    return _emit_square_rows(
+        args,
+        lambda r: {"predicted_voids": voids(r.n, r.conjectured), "dp_voids": voids(r.n, r.dp_value)},
+    )
 
 
 def cmd_conjecture(args) -> int:
-    _check_range(args)
-    _warn_raised_limits(args)
-    rows = solver.check_conjecture(args.lo, args.hi, width_limit=args.dp_width)
-    _emit(
-        {
-            "rows": [
-                {
-                    "n": r.n,
-                    "conjectured": r.conjectured,
-                    "dp_value": r.dp_value,
-                    "match": r.matches,
-                    "verified": r.dp_value is not None,
-                }
-                for r in rows
-            ]
-        }
-    )
-    return EXIT_OK
+    return _emit_square_rows(args, lambda r: {"conjectured": r.conjectured, "dp_value": r.dp_value})
 
 
 # -- motif ----------------------------------------------------------------------
@@ -278,14 +206,17 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def cmd_motif(args) -> int:
-    if args.lattice == "rect":
-        motif = periodic.rect_code_motif(args.residue)
-    elif args.lattice == "tri":
-        motif = periodic.tri_code_motif(args.residue)
-    else:
+    if args.lattice == "hex":
         if args.residue:
             raise ValueError("the hexagonal motif takes no residue")
         motif = periodic.hex_code_motif()
+    else:
+        motif = {"rect": periodic.rect_code_motif, "tri": periodic.tri_code_motif}[args.lattice](args.residue)
+    if args.window:
+        # The window comes first, so an unusable one is rejected before any work.
+        rows, cols = _parse_window(args.window)
+        expansion = periodic.expand_motif(motif, rows, cols)
+        window = periodic.window_lattice(motif, rows, cols)
     report = periodic.verify_perfect(motif)
     payload = {
         "kind": motif.kind.value,
@@ -295,24 +226,17 @@ def cmd_motif(args) -> int:
         "perfect": report.is_eds,
         "report": report_to_json(report),
     }
-    window_board = None
+    board = (motif.torus_lattice(), motif.cells, report)
     if args.window:
-        rows, cols = _parse_window(args.window)
-        expansion = periodic.expand_motif(motif, rows, cols)
-        window = periodic.window_lattice(motif, rows, cols)
         window_report = audit(window, expansion)
         payload["window"] = window.descriptor()
         payload["expansion"] = [vertex_to_json(v) for v in expansion]
         payload["window_report"] = report_to_json(window_report)
-        window_board = (window, expansion, window_report)
+        board = (window, expansion, window_report)
     if args.format == "json":
         _emit(payload)
     else:
-        if window_board is None:
-            torus = motif.torus_lattice()
-            print(ascii_board(torus, motif.cells, report))
-        else:
-            print(ascii_board(*window_board))
+        print(ascii_board(*board))
     return EXIT_OK if report.is_eds else EXIT_VOIDS
 
 
@@ -366,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named set construction and audit it")
-    p.add_argument("name", choices=_CONSTRUCTIONS)
+    p.add_argument("name", choices=tuple(constructions.CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True, help="strip length / square side")
     p.add_argument("--render", choices=("ascii", "svg"), help="append a board rendering")
     p.add_argument("--glyphs", help="three characters: dominator, dominated, void")

@@ -24,14 +24,20 @@ number, conjectured to be exact.
 ``near_grid_augment`` turns any 2-packing into an efficient dominating
 set of a slightly larger "near-grid" graph by hanging one pendant vertex
 off each void.
+
+``CONSTRUCTIONS`` names the constructions the CLI offers, in its order:
+each entry gives the lattice for n, the set builder and the contract its
+audit report must meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
 
-from .lattice import Coord, Lattice, LatticeKind, rect
-from .packing import Vertex, audit, normalize_set
+from .lattice import CompiledGraph, Coord, Lattice, LatticeKind, rect
+from .packing import DominationReport, Vertex, audit, normalize_set
 
 
 class ConstructionError(ValueError):
@@ -149,11 +155,8 @@ def lower_bound_F(n: int) -> int:
     return n * n - predicted_voids(n)
 
 
-def conjectured_F(n: int) -> int:
-    """Conjectured exact F of the n x n grid; numerically the lower bound."""
-    if n < 7:
-        raise ValueError(f"conjectured_F is defined for n >= 7, got {n}")
-    return lower_bound_F(n)
+# Conjectured exact F of the n x n grid: the lower bound itself.
+conjectured_F = lower_bound_F
 
 
 # -- knight construction ------------------------------------------------------
@@ -167,9 +170,6 @@ class KnightPattern:
     seeds: tuple[Coord, ...]
     rays: dict[Coord, tuple[Coord, ...]]
     full_set: tuple[Coord, ...]
-
-    def lattice(self) -> Lattice:
-        return rect(self.n, self.n)
 
 
 def knight_construction(n: int) -> KnightPattern:
@@ -263,19 +263,25 @@ class AugmentedLattice:
     def vertices(self) -> list[Vertex]:
         return list(self.base.vertices()) + list(self.pendants)
 
-    def contains(self, v: Vertex) -> bool:
-        if isinstance(v, Pendant):
-            return v in self.pendants
-        return self.base.contains(v)
+    @cached_property
+    def compiled(self) -> CompiledGraph:
+        """The base grid's tables extended by one id per pendant."""
+        base = self.base.compiled
+        index = dict(base.index)
+        adj = list(base.adj)
+        for t, p in enumerate(self.pendants, start=len(base.order)):
+            index[p] = t
+            anchor = base.index[p.anchor]
+            adj[anchor] += (t,)
+            adj.append((anchor,))
+        return CompiledGraph(base.order + list(self.pendants), index, adj)
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        if isinstance(v, Pendant):
-            if v not in self.pendants:
-                raise ValueError(f"{v!r} is not a vertex of this graph")
-            return (v.anchor,)
-        base = self.base.neighbors(v)
-        extra = tuple(p for p in self.pendants if p.anchor == v)
-        return base + extra
+        if not isinstance(v, Pendant):
+            self.base.require(v)
+        elif v not in self.compiled.index:
+            raise ValueError(f"{v!r} is not a vertex of this graph")
+        return self.compiled.neighbors(v)
 
     def degree(self, v: Vertex) -> int:
         return len(self.neighbors(v))
@@ -303,3 +309,52 @@ def near_grid_augment(
     augmented = AugmentedLattice(base=lattice, pendants=pendants)
     eds = normalize_set(members) + pendants
     return augmented, eds
+
+
+# -- registry -------------------------------------------------------------------
+
+
+class Construction(NamedTuple):
+    """A named construction: its lattice for n, its set for n, and the
+    contract the audit report of that set must meet."""
+
+    lattice: Callable[[int], Lattice]
+    build: Callable[[int], tuple[Coord, ...]]
+    contract: Callable[[int, DominationReport], bool]
+
+
+def _p3_contract(n: int, report: DominationReport) -> bool:
+    influence, voids = (7, 2) if n == 3 else (3 * n - n // 3, n // 3)
+    return report.is_two_packing and report.influence == influence and len(report.voids) == voids
+
+
+def _square_contract(n: int, report: DominationReport) -> bool:
+    if n == 4:
+        return report.is_eds
+    return report.is_two_packing and report.influence == {5: 23, 6: 33}[n]
+
+
+def _knight_contract(n: int, report: DominationReport) -> bool:
+    boundary = all(i in (1, n) or j in (1, n) for i, j in report.voids)
+    return report.is_two_packing and boundary and len(report.voids) == predicted_voids(n)
+
+
+def _p2_even_contract(n: int, report: DominationReport) -> bool:
+    return report.is_two_packing and report.influence == 2 * n - 1 and len(report.voids) == 1
+
+
+def _square(n: int) -> tuple[Coord, ...]:
+    return eds_p4_p4() if n == 4 else fset_square_small(n)
+
+
+CONSTRUCTIONS: dict[str, Construction] = {
+    "eds-p2": Construction(
+        lambda n: rect(2, n), eds_pn_p2, lambda n, r: r.is_eds and r.influence == 2 * n
+    ),
+    "p2-even": Construction(lambda n: rect(2, n), fset_pn_p2_even, _p2_even_contract),
+    "p3": Construction(lambda n: rect(3, n), fset_pn_p3, _p3_contract),
+    "square": Construction(lambda n: rect(n, n), _square, _square_contract),
+    "knight": Construction(
+        lambda n: rect(n, n), lambda n: knight_construction(n).full_set, _knight_contract
+    ),
+}

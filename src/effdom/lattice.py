@@ -20,6 +20,9 @@ Hexagonal
     ``(i-1, j)`` otherwise.  Torus periods must both be even so the parity
     rule survives the wrap; the quotient is 3-regular.
 
+Adjacency is compiled once per instance into ``Lattice.compiled``: vertex
+order, vertex ids and sorted neighbour ids, dying with the instance.
+
 Lattices are immutable values and every operation is a pure function, so
 instances can be shared freely across threads.
 """
@@ -29,8 +32,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Hashable, NamedTuple
 
 Coord = tuple[int, int]
+
+# Largest vertex count a lattice may have; larger descriptors are rejected
+# before any vertex is listed.
+MAX_VERTICES = 4_000_000
 
 AXIAL_OFFSETS: tuple[Coord, ...] = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
 
@@ -49,8 +58,19 @@ class InvalidCoordError(ValueError):
         super().__init__(f"coordinate {coord} is not a vertex of {lattice.descriptor()}")
 
 
-def _wrap(x: int, size: int) -> int:
-    return (x - 1) % size + 1
+# A NamedTuple rather than a frozen dataclass: building a dataclass at import
+# adds about a millisecond to every start of the command.
+class CompiledGraph(NamedTuple):
+    """A graph as integer tables: vertex ``order[t]`` has id ``t``,
+    ``index`` maps each vertex back to its id, and ``adj[t]`` holds the
+    ids of its neighbours in ascending order."""
+
+    order: list[Hashable]
+    index: dict[Hashable, int]
+    adj: list[tuple[int, ...]]
+
+    def neighbors(self, v: Hashable) -> tuple[Hashable, ...]:
+        return tuple(self.order[s] for s in self.adj[self.index[v]])
 
 
 @dataclass(frozen=True)
@@ -73,6 +93,11 @@ class Lattice:
                     raise ValueError("hexagonal torus periods must be even and >= 4")
             elif self.rows < 3 or self.cols < 3:
                 raise ValueError("torus dimensions must be >= 3 to avoid multi-edges")
+        if self.vertex_count > MAX_VERTICES:
+            raise ValueError(
+                f"{self.descriptor()} has {self.vertex_count} vertices, "
+                f"more than the limit {MAX_VERTICES}"
+            )
 
     # -- vertex set ---------------------------------------------------------
 
@@ -111,22 +136,34 @@ class Lattice:
         vert = (i + 1, j) if (i + j) % 2 == 0 else (i - 1, j)
         return [(i, j - 1), (i, j + 1), vert]
 
+    @cached_property
+    def compiled(self) -> CompiledGraph:
+        """The graph as integer tables, built in one pass on first use."""
+        order = self.vertices()
+        index = {v: t for t, v in enumerate(order)}
+        rows, cols = self.rows, self.cols
+        # The torus sizes checked in __post_init__ leave no repeated neighbour.
+        if self.torus:
+            adj = [
+                tuple(sorted(index[((i - 1) % rows + 1, (j - 1) % cols + 1)]
+                             for i, j in self._neighbor_candidates(v)))
+                for v in order
+            ]
+        else:
+            adj = [
+                tuple(sorted(index[u] for u in self._neighbor_candidates(v) if u in index))
+                for v in order
+            ]
+        return CompiledGraph(order, index, adj)
+
     def neighbors(self, v: Coord) -> tuple[Coord, ...]:
         """Adjacent vertices, sorted row-major; symmetric by construction."""
         self.require(v)
-        out = []
-        for u in self._neighbor_candidates(v):
-            if self.torus:
-                out.append((_wrap(u[0], self.rows), _wrap(u[1], self.cols)))
-            elif self.contains(u):
-                out.append(u)
-        return tuple(sorted(set(out)))
+        return self.compiled.neighbors(v)
 
     def degree(self, v: Coord) -> int:
-        return len(self.neighbors(v))
-
-    def closed_neighborhood(self, v: Coord) -> tuple[Coord, ...]:
-        return tuple(sorted(set(self.neighbors(v)) | {v}))
+        self.require(v)
+        return len(self.compiled.adj[self.compiled.index[v]])
 
     # -- distance -----------------------------------------------------------
 

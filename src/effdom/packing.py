@@ -11,9 +11,11 @@ equals the number of dominated vertices.  For a set that is not a
 2-packing the influence reported here is the dominated-vertex count; the
 raw weight sum is kept alongside so the discrepancy is visible.
 
-The audit works on any graph object exposing ``vertices()``,
-``neighbors(v)`` and ``degree(v)``: lattices as well as the
-pendant-augmented graphs built by :mod:`effdom.constructions`.
+The audit works on any graph object exposing ``compiled``, its
+:class:`~effdom.lattice.CompiledGraph` (row-major vertex order, vertex
+ids and sorted neighbour ids): lattices as well as the pendant-augmented
+graphs built by :mod:`effdom.constructions`.  Coverage is counted over
+ids and reported per vertex in row-major order.
 """
 
 from __future__ import annotations
@@ -56,25 +58,29 @@ class DominationReport:
 
 def audit(graph: Any, members: Iterable[Vertex]) -> DominationReport:
     """Count dominators per vertex and classify the candidate set."""
-    order = list(graph.vertices())
-    allowed = set(order)
+    compiled = graph.compiled
+    index = compiled.index
     canon = normalize_set(members)
     for v in canon:
-        if v not in allowed:
+        if v not in index:
             if isinstance(graph, Lattice) and isinstance(v, tuple):
                 graph.require(v)  # raises InvalidCoordError naming the coord
             raise ValueError(f"{v!r} is not a vertex of the given graph")
 
-    coverage = dict.fromkeys(order, 0)
+    counts = [0] * len(compiled.order)
     weight_sum = 0
     for v in canon:
-        coverage[v] += 1
-        weight_sum += 1 + graph.degree(v)
-        for u in graph.neighbors(v):
-            coverage[u] += 1
+        t = index[v]
+        counts[t] += 1
+        neighbours = compiled.adj[t]
+        weight_sum += 1 + len(neighbours)
+        for s in neighbours:
+            counts[s] += 1
 
-    voids = tuple(v for v in order if coverage[v] == 0)
-    conflicts = tuple(v for v in order if coverage[v] >= 2)
+    order = compiled.order
+    coverage = dict(zip(order, counts))
+    voids = tuple(v for v, c in coverage.items() if c == 0)
+    conflicts = tuple(v for v, c in coverage.items() if c >= 2)
     dominated = len(order) - len(voids)
     packing = not conflicts
     if packing and weight_sum != dominated:

@@ -30,6 +30,7 @@ Hexagonal
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lattice import Coord, Lattice, LatticeKind
 from .packing import DominationReport, audit
@@ -64,30 +65,34 @@ class Motif:
     def density(self) -> float:
         return len(self.cells) / (self.periods[0] * self.periods[1])
 
+    @cached_property
+    def _cell_set(self) -> frozenset[Coord]:
+        return frozenset(self.cells)
+
     def contains_translate(self, v: Coord) -> bool:
         """Membership of the motif's periodic extension at any coordinate."""
         p, q = self.periods
-        return ((v[0] - 1) % p + 1, (v[1] - 1) % q + 1) in set(self.cells)
+        return ((v[0] - 1) % p + 1, (v[1] - 1) % q + 1) in self._cell_set
+
+
+def _residue_motif(kind: LatticeKind, p: int, residue: int) -> Motif:
+    """The cells (x, y) of the p x p torus with x + 3y == residue (mod p)."""
+    if residue not in range(p):
+        raise ValueError(f"residue must be in 0..{p - 1}, got {residue}")
+    cells = tuple(
+        (x, y) for x in range(1, p + 1) for y in range(1, p + 1) if (x + 3 * y) % p == residue
+    )
+    return Motif(kind=kind, periods=(p, p), cells=cells)
 
 
 def rect_code_motif(residue: int = 0) -> Motif:
     """The diagonal-lines code of the square lattice on a 5 x 5 torus."""
-    if residue not in range(5):
-        raise ValueError(f"residue must be in 0..4, got {residue}")
-    cells = tuple(
-        (i, j) for i in range(1, 6) for j in range(1, 6) if (i + 3 * j) % 5 == residue
-    )
-    return Motif(kind=LatticeKind.RECTANGULAR, periods=(5, 5), cells=cells)
+    return _residue_motif(LatticeKind.RECTANGULAR, 5, residue)
 
 
 def tri_code_motif(residue: int = 0) -> Motif:
     """The density-1/7 code of the triangular lattice on a 7 x 7 torus."""
-    if residue not in range(7):
-        raise ValueError(f"residue must be in 0..6, got {residue}")
-    cells = tuple(
-        (x, y) for x in range(1, 8) for y in range(1, 8) if (x + 3 * y) % 7 == residue
-    )
-    return Motif(kind=LatticeKind.TRIANGULAR, periods=(7, 7), cells=cells)
+    return _residue_motif(LatticeKind.TRIANGULAR, 7, residue)
 
 
 def hex_code_motif() -> Motif:
@@ -102,10 +107,8 @@ def verify_perfect(motif: Motif) -> DominationReport:
 
 def window_lattice(motif: Motif, rows: int, cols: int) -> Lattice:
     """The bounded lattice a motif expansion lives on."""
-    if motif.kind is LatticeKind.TRIANGULAR:
-        if rows != cols:
-            raise ValueError("triangular windows are triangle patches: rows must equal cols")
-        return Lattice(motif.kind, rows, cols)
+    if motif.kind is LatticeKind.TRIANGULAR and rows != cols:
+        raise ValueError("triangular windows are triangle patches: rows must equal cols")
     return Lattice(motif.kind, rows, cols)
 
 

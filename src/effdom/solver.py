@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Any
 
-from .constructions import conjectured_F, predicted_voids
+from .constructions import conjectured_F
 from .lattice import rect
 from .packing import Vertex, audit, normalize_set
 
@@ -73,15 +73,15 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
             f"{count} vertices exceeds the brute-force limit {limit}; "
             "use dp_F_rect for rectangular grids or raise the limit"
         )
-    order = list(graph.vertices())
-    index = {v: t for t, v in enumerate(order)}
-    weights = [1 + graph.degree(v) for v in order]
+    compiled = graph.compiled
+    order = compiled.order
+    weights = [1 + len(neighbours) for neighbours in compiled.adj]
     # Vertex t is bit t; closed[t] is the closed neighbourhood of t as a mask.
     closed = []
-    for t, v in enumerate(order):
+    for t, neighbours in enumerate(compiled.adj):
         mask = 1 << t
-        for u in graph.neighbors(v):
-            mask |= 1 << index[u]
+        for s in neighbours:
+            mask |= 1 << s
         closed.append(mask)
     suffix = [0] * (count + 1)
     for t in range(count - 1, -1, -1):
@@ -143,14 +143,7 @@ def _spaced_masks(m: int) -> list[int]:
 
 
 def _bits(mask: int) -> list[int]:
-    out = []
-    r = 0
-    while mask:
-        if mask & 1:
-            out.append(r)
-        mask >>= 1
-        r += 1
-    return out
+    return [r for r in range(mask.bit_length()) if mask >> r & 1]
 
 
 def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveResult:
@@ -238,7 +231,7 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
     return SolveResult(f_value=best_value, witness=witness, explored=explored, elapsed=elapsed)
 
 
-# -- conjecture and void tables ------------------------------------------------
+# -- conjecture table ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -249,21 +242,15 @@ class ConjectureRow:
     matches: bool | None
 
 
-@dataclass(frozen=True)
-class VoidRow:
-    n: int
-    predicted: int
-    dp_voids: int | None
-    matches: bool | None
-
-
 def check_conjecture(
     lo: int, hi: int, width_limit: int = DP_WIDTH_LIMIT
 ) -> list[ConjectureRow]:
     """Compare the DP value of each n x n grid against the conjectured F.
 
     Squares wider than the DP limit are reported with ``dp_value=None``
-    (unverified), never guessed.
+    (unverified), never guessed.  The same rows give the void view:
+    n^2 - conjectured is the predicted void count and n^2 - dp_value the
+    exact one, so ``matches`` holds in both views at once.
     """
     rows = []
     for n in range(lo, hi + 1):
@@ -273,18 +260,4 @@ def check_conjecture(
             rows.append(ConjectureRow(n, target, value, value == target))
         else:
             rows.append(ConjectureRow(n, target, None, None))
-    return rows
-
-
-def table_voids(lo: int, hi: int, width_limit: int = DP_WIDTH_LIMIT) -> list[VoidRow]:
-    """Number of voids n^2 - F(n x n), exact where the DP reaches."""
-    rows = []
-    for n in range(lo, hi + 1):
-        predicted = predicted_voids(n)
-        if n <= width_limit:
-            value = dp_F_rect(n, n, width_limit=width_limit).f_value
-            voids = n * n - value
-            rows.append(VoidRow(n, predicted, voids, voids == predicted))
-        else:
-            rows.append(VoidRow(n, predicted, None, None))
     return rows

@@ -6,7 +6,30 @@ import itertools
 import random
 from collections import deque
 
+from effdom.lattice import AXIAL_OFFSETS, LatticeKind
 from effdom.packing import normalize_set
+
+
+def reference_neighbors(lattice, v):
+    """Adjacent vertices by the per-call rule: list the kind's candidate
+    offsets, wrap them on a torus or drop those off a bounded patch, then
+    deduplicate and sort.  Kept as the oracle for ``Lattice.compiled``."""
+    lattice.require(v)
+    i, j = v
+    if lattice.kind is LatticeKind.RECTANGULAR:
+        candidates = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
+    elif lattice.kind is LatticeKind.TRIANGULAR:
+        candidates = [(i + di, j + dj) for di, dj in AXIAL_OFFSETS]
+    else:
+        vertical = (i + 1, j) if (i + j) % 2 == 0 else (i - 1, j)
+        candidates = [(i, j - 1), (i, j + 1), vertical]
+    out = []
+    for u in candidates:
+        if lattice.torus:
+            out.append(((u[0] - 1) % lattice.rows + 1, (u[1] - 1) % lattice.cols + 1))
+        elif lattice.contains(u):
+            out.append(u)
+    return tuple(sorted(set(out)))
 
 
 def bfs_distance(graph, u, v):

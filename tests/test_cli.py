@@ -5,7 +5,7 @@ import pytest
 
 from effdom import solver
 from effdom.cli import main
-from effdom.lattice import rect, tri
+from effdom.lattice import Lattice, rect, tri
 from effdom.packing import audit
 from effdom.render import RenderStyle, ascii_board, svg_board
 
@@ -217,6 +217,25 @@ def test_table_rows_and_skipping(capsys):
     assert rows[-1]["predicted_voids"] == 14
 
 
+def test_table_known_rows(capsys):
+    code, payload, _ = run_json(capsys, "table", "--from", "7", "--to", "9")
+    assert code == 0
+    assert payload["rows"] == [
+        {"n": 7, "predicted_voids": 5, "dp_voids": 5, "match": True, "verified": True},
+        {"n": 8, "predicted_voids": 6, "dp_voids": 6, "match": True, "verified": True},
+        {"n": 9, "predicted_voids": 4, "dp_voids": 4, "match": True, "verified": True},
+    ]
+
+
+def test_table_skips_beyond_width(capsys):
+    code, payload, _ = run_json(capsys, "table", "--from", "7", "--to", "20", "--dp-width", "7")
+    assert code == 0
+    rows = payload["rows"]
+    assert rows[0]["dp_voids"] == 5
+    assert all(r["dp_voids"] is None and r["match"] is None for r in rows[1:])
+    assert [r["predicted_voids"] for r in rows[-3:]] == [14, 12, 16]
+
+
 def test_table_reversed_range_usage_error(capsys):
     code, out, err = run(capsys, "table", "--from", "9", "--to", "7")
     assert code == 2 and out == "" and "error" in err
@@ -287,6 +306,42 @@ def test_augment_rejects_conflicts(capsys, tmp_path):
     path = _write_set(tmp_path, "bad.json", "rect:3x3", [(1, 1), (1, 2)])
     code, _, err = run(capsys, "augment", path)
     assert code == 2 and "2-packing" in err
+
+
+# -- oversized inputs ------------------------------------------------------------
+
+HUGE = "rect:100000x100000"
+
+
+@pytest.fixture
+def no_vertex_listing(monkeypatch):
+    """Make listing any lattice's vertices a failure (exit 4, not 2)."""
+
+    def refuse(self):
+        raise AssertionError(f"listed the vertices of {self.descriptor()}")
+
+    monkeypatch.setattr(Lattice, "vertices", refuse)
+
+
+def _assert_rejected_before_work(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "more than the limit" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "render", "augment"])
+def test_oversized_set_file_rejected(capsys, tmp_path, no_vertex_listing, command):
+    path = _write_set(tmp_path, "huge.json", HUGE, [(1, 1)])
+    _assert_rejected_before_work(*run(capsys, command, path))
+
+
+def test_oversized_motif_window_rejected(capsys, no_vertex_listing):
+    _assert_rejected_before_work(
+        *run(capsys, "motif", "--lattice", "rect", "--window", "100000x100000")
+    )
+
+
+def test_oversized_construction_rejected(capsys, no_vertex_listing):
+    _assert_rejected_before_work(*run(capsys, "construct", "knight", "--n", "100000"))
 
 
 # -- render ---------------------------------------------------------------------

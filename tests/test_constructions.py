@@ -153,7 +153,12 @@ def test_bounds_equal_square_minus_voids():
         assert conjectured_F(n) == lower_bound_F(n)
 
 
-@pytest.mark.parametrize("func", [predicted_voids, lower_bound_F, conjectured_F])
+# conjectured_F is lower_bound_F under a second name, so the ids are spelled out.
+@pytest.mark.parametrize(
+    "func",
+    [predicted_voids, lower_bound_F, conjectured_F],
+    ids=["predicted_voids", "lower_bound_F", "conjectured_F"],
+)
 def test_bounds_domain(func):
     with pytest.raises(ValueError):
         func(6)

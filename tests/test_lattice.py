@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_distance
-from effdom.lattice import InvalidCoordError, Lattice, LatticeKind, hexa, rect, tri
+from conftest import bfs_distance, reference_neighbors
+from effdom.constructions import near_grid_augment
+from effdom.lattice import MAX_VERTICES, InvalidCoordError, Lattice, LatticeKind, hexa, rect, tri
 
 SAMPLE_LATTICES = [
     rect(1, 1),
@@ -240,3 +241,61 @@ def test_paths_are_valid_degenerate_grids():
     assert lat.degree((1, 1)) == 1
     assert lat.degree((1, 3)) == 2
     assert tri(1).vertices() == [(1, 1)]
+
+
+# -- compiled form ------------------------------------------------------------
+
+COMPILE_CASES = [
+    *[rect(m, n) for m in range(1, 5) for n in range(1, 6)],
+    *[rect(m, n, torus=True) for m in range(3, 6) for n in range(3, 6)],
+    *[tri(s) for s in range(1, 7)],
+    *[tri(m, n, torus=True) for m in range(3, 6) for n in range(3, 6)],
+    *[hexa(m, n) for m in range(1, 5) for n in range(1, 7)],
+    *[hexa(m, n, torus=True) for m in (4, 6) for n in (4, 6, 8)],
+]
+
+
+@pytest.mark.parametrize("lat", COMPILE_CASES, ids=Lattice.descriptor)
+def test_compiled_adjacency_matches_reference(lat):
+    graph = lat.compiled
+    assert graph.order == lat.vertices()
+    assert graph.index == {v: t for t, v in enumerate(graph.order)}
+    for t, v in enumerate(graph.order):
+        assert tuple(graph.order[s] for s in graph.adj[t]) == reference_neighbors(lat, v)
+        assert list(graph.adj[t]) == sorted(graph.adj[t])
+
+
+def test_compiled_form_is_built_once_per_instance():
+    lat = rect(3, 4)
+    assert lat.compiled is lat.compiled
+    assert rect(3, 4).compiled is not lat.compiled
+
+
+def test_compiled_pendant_graph_extends_the_base():
+    base = rect(3, 3)
+    base_adj = list(base.compiled.adj)
+    augmented, _ = near_grid_augment(base, [(1, 1), (3, 2)])
+    graph = augmented.compiled
+    pendants = augmented.pendants
+    assert graph.order == base.vertices() + list(pendants)
+    for t, v in enumerate(graph.order):
+        if v in pendants:
+            expected = (v.anchor,)
+        else:
+            expected = reference_neighbors(base, v) + tuple(p for p in pendants if p.anchor == v)
+        assert tuple(graph.order[s] for s in graph.adj[t]) == expected
+        assert augmented.neighbors(v) == expected
+    # The base's tables are shared, not rebuilt, and stay unchanged.
+    assert base.compiled.adj == base_adj
+    anchors = {base.compiled.index[p.anchor] for p in pendants}
+    assert all(graph.adj[t] is base_adj[t] for t in range(base.vertex_count) if t not in anchors)
+
+
+def test_vertex_limit_checked_before_listing():
+    assert rect(2000, 2000).vertex_count == MAX_VERTICES
+    with pytest.raises(ValueError, match="more than the limit"):
+        rect(2000, 2001)
+    with pytest.raises(ValueError, match="more than the limit"):
+        Lattice.from_descriptor("tri:3000")
+    with pytest.raises(ValueError, match="more than the limit"):
+        hexa(2000, 2002, torus=True)

@@ -9,11 +9,9 @@ from effdom.lattice import Lattice, hexa, rect, tri
 from effdom.packing import audit
 from effdom.solver import (
     ConjectureRow,
-    VoidRow,
     brute_force_F,
     check_conjecture,
     dp_F_rect,
-    table_voids,
 )
 
 # -- backtracking oracle ----------------------------------------------------------
@@ -225,19 +223,3 @@ def test_check_conjecture_skips_beyond_width():
     assert rows[0].dp_value == 58 and rows[0].matches is True
     assert rows[1].dp_value is None and rows[1].matches is None
     assert rows[2].dp_value is None
-
-
-def test_table_voids_known_rows():
-    rows = table_voids(7, 9)
-    assert rows == [
-        VoidRow(7, 5, 5, True),
-        VoidRow(8, 6, 6, True),
-        VoidRow(9, 4, 4, True),
-    ]
-
-
-def test_table_voids_skips_beyond_width():
-    rows = table_voids(7, 20, width_limit=7)
-    assert rows[0].dp_voids == 5
-    assert all(r.dp_voids is None for r in rows[1:])
-    assert [r.predicted for r in rows[-3:]] == [14, 12, 16]
