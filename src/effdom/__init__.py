@@ -6,7 +6,6 @@ of rectangular, triangular and hexagonal lattices, bounded or toroidal.
 
 from .constructions import (
     AugmentedLattice,
-    ConstructionError,
     KnightPattern,
     Pendant,
     conjectured_F,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedLattice",
     "BRUTE_FORCE_LIMIT",
-    "ConstructionError",
     "Coord",
     "DP_WIDTH_LIMIT",
     "DominationReport",

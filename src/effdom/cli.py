@@ -89,13 +89,14 @@ def _audited_set(lattice: Lattice, members, report: DominationReport) -> dict:
 
 
 def cmd_construct(args) -> int:
+    style = _style(args)
     construction = constructions.CONSTRUCTIONS[args.name]
     lattice = construction.lattice(args.n)
     members = construction.build(args.n)
     report = audit(lattice, members)
     _emit({"construction": args.name, "n": args.n, **_audited_set(lattice, members, report)})
     if args.render:
-        print(_render_text(args.render, lattice, members, report, _style(args)))
+        print(_render_text(args.render, lattice, members, report, style))
     return EXIT_OK if construction.contract(args.n, report) else EXIT_VOIDS
 
 
@@ -264,9 +265,10 @@ def cmd_augment(args) -> int:
 
 
 def cmd_render(args) -> int:
+    style = _style(args)
     lattice, members = _load_set_file(args.set_file)
     report = audit(lattice, members)
-    text = _render_text(args.format, lattice, members, report, _style(args))
+    text = _render_text(args.format, lattice, members, report, style)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -14,12 +14,15 @@ The strip constructions follow a forced-chain / column-block scheme:
   n >= 4 the influence is 3n - floor(n/3); the lone exception n = 3 tops
   out at 7 with two voids.
 
-For the n x n square (n >= 7) the ``knight_construction`` selects anchor
-pairs down columns 1-2 and along the bottom row, then extends every
-anchor by repeated knight steps (one up, two right).  All of its voids
-land on the outer boundary; their count is ``predicted_voids(n)``, giving
-the lower bound ``lower_bound_F(n)`` on the square's efficient domination
-number, conjectured to be exact.
+For the n x n square (n >= 7) the ``knight_construction`` takes anchors
+in columns 1-2 and along the bottom row and extends every anchor by
+repeated knight steps (one up, two right).  A knight step keeps 2i + j
+fixed mod 5 and the anchors are spaced five apart, so the result is the
+perfect code of the infinite grid (``periodic.rect_code_motif``) cut to
+the board: the class 2i + j == 3 (mod 5), or == 0 when n = 5k + 4.  All
+of its voids land on the outer boundary; their count is
+``predicted_voids(n)``, giving the lower bound ``lower_bound_F(n)`` on
+the square's efficient domination number, conjectured to be exact.
 
 ``near_grid_augment`` turns any 2-packing into an efficient dominating
 set of a slightly larger "near-grid" graph by hanging one pendant vertex
@@ -36,12 +39,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
+from . import periodic
 from .lattice import CompiledGraph, Coord, Lattice, LatticeKind, rect
 from .packing import DominationReport, Vertex, audit, normalize_set
-
-
-class ConstructionError(ValueError):
-    """A construction reached a configuration its case analysis does not cover."""
 
 
 # -- 2 x n strips -------------------------------------------------------------
@@ -175,53 +175,21 @@ class KnightPattern:
 def knight_construction(n: int) -> KnightPattern:
     """Near-optimal 2-packing of the n x n grid, n >= 7.
 
-    Anchors: pairs (i, 1), (i+2, 2) down the first two columns every five
-    rows (starting at row 2 when n = 5k + 4, else row 1), one bottom-row
-    vertex y chosen by where the column walk ends, and further bottom-row
-    vertices every five columns right of y.  Every anchor then emits the
-    ray (i - k, j + 2k) until it leaves the grid.
+    The rectangular perfect code cut to the board: the class
+    2i + j == 3 (mod 5), or == 0 when n = 5k + 4 (``rect_code_motif``
+    residue 4, or 0, as 2(i + 3j) == 2i + j mod 5).  The anchors are its
+    members in columns 1-2 or on the bottom row; the knight ray
+    (i - k, j + 2k) of each anchor covers the rest.
     """
     if n < 7:
         raise ValueError(f"knight_construction needs n >= 7, got {n}")
-    seeds: list[Coord] = []
-    i = 2 if n % 5 == 4 else 1
-    last: Coord = (i, 1)
-    while i <= n:
-        seeds.append((i, 1))
-        last = (i, 1)
-        if i + 2 <= n:
-            seeds.append((i + 2, 2))
-            last = (i + 2, 2)
-        i += 5
-
-    if last == (n - 2, 2):
-        y: Coord = (n, 3)
-    elif last == (n - 1, 2):
-        y = (n, 5)
-    elif last == (n - 1, 1):
-        y = (n, 4)
-    elif last in ((n, 1), (n, 2)):
-        y = last
-    else:
-        raise ConstructionError(f"column walk for n={n} ended at {last}, outside the case table")
-    if y != last:
-        seeds.append(y)
-    j = y[1] + 5
-    while j <= n:
-        seeds.append((n, j))
-        j += 5
-
-    rays: dict[Coord, tuple[Coord, ...]] = {}
-    full: list[Coord] = list(seeds)
-    for si, sj in seeds:
-        ray = []
-        k = 1
-        while si - k >= 1 and sj + 2 * k <= n:
-            ray.append((si - k, sj + 2 * k))
-            k += 1
-        rays[(si, sj)] = tuple(ray)
-        full.extend(ray)
-    return KnightPattern(n=n, seeds=normalize_set(seeds), rays=rays, full_set=normalize_set(full))
+    full = periodic.expand_motif(periodic.rect_code_motif(0 if n % 5 == 4 else 4), n, n)
+    seeds = tuple((i, j) for i, j in full if j <= 2 or i == n)
+    rays = {
+        (i, j): tuple((i - k, j + 2 * k) for k in range(1, min(i - 1, (n - j) // 2) + 1))
+        for i, j in seeds
+    }
+    return KnightPattern(n=n, seeds=seeds, rays=rays, full_set=full)
 
 
 # -- pendant augmentation -----------------------------------------------------

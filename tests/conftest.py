@@ -194,3 +194,51 @@ def reference_brute_force(graph):
     dfs(0, 0)
     witness = normalize_set(order[t] for t in best_set)
     return best_value, witness, explored
+
+
+def reference_knight(n):
+    """(seeds, rays, full_set) of the knight construction by the column
+    walk: anchor pairs (i, 1), (i + 2, 2) every five rows from row 1 (row 2
+    when n = 5k + 4), one bottom-row anchor y picked from where the walk
+    ends, further bottom-row anchors every five columns right of y, then
+    the ray (i - k, j + 2k) of each anchor.  Kept as the oracle for
+    ``knight_construction``."""
+    seeds = []
+    i = 2 if n % 5 == 4 else 1
+    last = (i, 1)
+    while i <= n:
+        seeds.append((i, 1))
+        last = (i, 1)
+        if i + 2 <= n:
+            seeds.append((i + 2, 2))
+            last = (i + 2, 2)
+        i += 5
+
+    if last == (n - 2, 2):
+        y = (n, 3)
+    elif last == (n - 1, 2):
+        y = (n, 5)
+    elif last == (n - 1, 1):
+        y = (n, 4)
+    elif last in ((n, 1), (n, 2)):
+        y = last
+    else:
+        raise AssertionError(f"column walk for n={n} ended at {last}, outside the case table")
+    if y != last:
+        seeds.append(y)
+    j = y[1] + 5
+    while j <= n:
+        seeds.append((n, j))
+        j += 5
+
+    rays = {}
+    full = list(seeds)
+    for si, sj in seeds:
+        ray = []
+        k = 1
+        while si - k >= 1 and sj + 2 * k <= n:
+            ray.append((si - k, sj + 2 * k))
+            k += 1
+        rays[(si, sj)] = tuple(ray)
+        full.extend(ray)
+    return normalize_set(seeds), rays, normalize_set(full)

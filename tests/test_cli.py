@@ -191,6 +191,16 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def _warning_lines(err):
+    return [line for line in err.splitlines() if line.startswith("warning:")]
+
+
+def test_solve_raised_brute_limit_warns(capsys):
+    code, payload, err = run_json(capsys, "solve", "rect:3x3", "--method", "brute", "--brute-limit", "60")
+    assert code == 0 and payload["F"] == 7
+    assert len(_warning_lines(err)) == 1 and "brute-force limit raised to 60" in err
+
+
 # -- table / conjecture --------------------------------------------------------
 
 
@@ -204,6 +214,12 @@ def test_conjecture_rows(capsys):
 def test_conjecture_reversed_range_usage_error(capsys):
     code, out, err = run(capsys, "conjecture", "--from", "9", "--to", "7")
     assert code == 2 and out == "" and "error" in err
+
+
+def test_conjecture_raised_dp_width_warns(capsys):
+    code, payload, err = run_json(capsys, "conjecture", "--from", "7", "--to", "7", "--dp-width", "17")
+    assert code == 0 and payload["rows"][0]["verified"] is True
+    assert len(_warning_lines(err)) == 1 and "DP width raised to 17" in err
 
 
 def test_table_rows_and_skipping(capsys):
@@ -287,6 +303,12 @@ def test_motif_window_ascii(capsys):
 def test_motif_hex_rejects_residue(capsys):
     code, _, err = run(capsys, "motif", "--lattice", "hex", "--residue", "3")
     assert code == 2 and "residue" in err
+
+
+def test_motif_malformed_window_usage_error(capsys):
+    code, out, err = run(capsys, "motif", "--lattice", "rect", "--window", "5by5")
+    assert code == 2 and out == ""
+    assert err == "error: window must look like RxC, got '5by5'\n"
 
 
 # -- augment ----------------------------------------------------------------------
@@ -403,6 +425,22 @@ def test_render_cli_defaults_to_ascii(capsys, tmp_path):
     code, out, _ = run(capsys, "render", path)
     assert code == 0
     assert out == "@ . o\n. . o\n. @ .\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "knight", "--n", "7", "--render", "ascii", "--glyphs", "ab"),
+        ("construct", "knight", "--n", "7", "--render", "svg", "--glyphs", "ab"),
+        ("render", "@", "--glyphs", "ab"),
+        ("render", "@", "--format", "svg", "--glyphs", "xxo"),
+    ],
+)
+def test_bad_glyphs_rejected_before_work(capsys, tmp_path, no_vertex_listing, argv):
+    path = _write_set(tmp_path, "p3.json", "rect:3x3", [(1, 1), (3, 2)])
+    code, out, err = run(capsys, *(path if a == "@" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # -- determinism ----------------------------------------------------------------

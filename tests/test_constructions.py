@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import reference_knight
 from effdom.constructions import (
     AugmentedLattice,
     Pendant,
@@ -219,6 +220,12 @@ def test_knight_structure():
     assert pattern.full_set == tuple(sorted(set(pattern.seeds) | ray_union))
 
 
+@pytest.mark.parametrize("n", [*range(7, 151), 250])
+def test_knight_matches_reference_walk(n):
+    pattern = knight_construction(n)
+    assert (pattern.seeds, pattern.rays, pattern.full_set) == reference_knight(n)
+
+
 def test_knight_domain():
     with pytest.raises(ValueError):
         knight_construction(6)
@@ -271,6 +278,13 @@ def test_augmented_lattice_graph_protocol():
         assert augmented.degree(pendant.anchor) == lat.degree(pendant.anchor) + 1
         assert pendant in augmented.neighbors(pendant.anchor)
     assert augmented.vertices()[: lat.vertex_count] == lat.vertices()
+
+
+def test_audit_rejects_foreign_pendant():
+    augmented, eds = near_grid_augment(rect(3, 3), fset_pn_p3(3))
+    foreign = Pendant(index=len(augmented.pendants), anchor=(2, 2))
+    with pytest.raises(ValueError, match="is not a vertex of the given graph"):
+        audit(augmented, eds + (foreign,))
 
 
 def test_pendants_must_be_distinct():

@@ -71,6 +71,9 @@ CASES = dict(
         ("construct-knight-7", ["construct", "knight", "--n", "7"]),
         ("construct-knight-12", ["construct", "knight", "--n", "12"]),
         ("construct-knight-13", ["construct", "knight", "--n", "13"]),
+        ("construct-knight-10", ["construct", "knight", "--n", "10"]),
+        ("construct-knight-11", ["construct", "knight", "--n", "11"]),
+        ("construct-knight-14", ["construct", "knight", "--n", "14"]),
         ("construct-knight-6", ["construct", "knight", "--n", "6"]),
         ("construct-p3-10-ascii", ["construct", "p3", "--n", "10", "--render", "ascii", "--glyphs", "#-_"]),
         ("construct-knight-9-svg", ["construct", "knight", "--n", "9", "--render", "svg"]),
@@ -108,8 +111,11 @@ GOLDEN = {
     "conjecture-7-12-width-8": (0, "b770cb5563cac04dbecf457782fa644380a19abcfa74230c70505503e4b6f336"),
     "construct-eds-p2-4": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "construct-eds-p2-7": (0, "818fb0845ada7a6064d2727aedcbfccc4eba0e9374ac039ab32740f64d3eb426"),
+    "construct-knight-10": (0, "44f36fd9e41a5a7e04c3e12797ca8b0475b2f868a4a5cc199d2457b4f87a905e"),
+    "construct-knight-11": (0, "8230979bf512c7769e093ad3a7e813009ea11c92b7f1ee516cebe94a8f7e0dd3"),
     "construct-knight-12": (0, "ae14cff504320f0076112e7d6eca6cb4e15e470846f6597d3953fe9fa1aa5f7c"),
     "construct-knight-13": (0, "f9efb23f645e7ebc4187d0a3982826d495ca16698abce2fdc4517daf0eb769df"),
+    "construct-knight-14": (0, "56c53b57e03c976c1dcf4497f2da4e0b71cfef76b39b29d0f75f95f071b16402"),
     "construct-knight-6": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "construct-knight-7": (0, "a17c9acb8d70c34f8de8572779d1c5e8735e6541c52b7381468483fc99d28735"),
     "construct-knight-9-svg": (0, "9143e946cb339fd8381721c388410e920923b1e061696f0ef1e3ee34957f6442"),

@@ -222,6 +222,11 @@ def test_bad_descriptors_rejected(text):
         Lattice.from_descriptor(text)
 
 
+def test_bounded_triangle_needs_one_side():
+    with pytest.raises(ValueError, match="single side length"):
+        Lattice(LatticeKind.TRIANGULAR, 3, 4)
+
+
 def test_small_torus_rejected():
     with pytest.raises(ValueError):
         rect(2, 5, torus=True)

@@ -224,6 +224,11 @@ def test_expand_1x1(c):
     assert cells == (((1, 1),) if (1 + 3) % 5 == c else ())
 
 
+def test_expand_rejects_empty_window():
+    with pytest.raises(ValueError, match="at least 1x1"):
+        expand_motif(rect_code_motif(0), 0, 5)
+
+
 def test_expand_11x11_is_packing_with_boundary_voids():
     for c in range(5):
         motif = rect_code_motif(c)
