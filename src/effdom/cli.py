@@ -119,11 +119,20 @@ def cmd_verify(args) -> int:
 
 def _solve_lattice(lattice: Lattice, method: str, brute_limit: int, dp_width: int) -> solver.SolveResult:
     rectangular = lattice.kind is LatticeKind.RECTANGULAR and not lattice.torus
+    side = min(lattice.rows, lattice.cols)
     if method == "auto":
-        method = "dp" if rectangular and min(lattice.rows, lattice.cols) <= dp_width else "brute"
+        # A rectangle too wide for the DP goes to the oracle only when the
+        # oracle takes it; otherwise the DP's width error is the useful one.
+        dp_first = side <= dp_width or lattice.vertex_count > brute_limit
+        method = "dp" if rectangular and dp_first else "brute"
     if method == "dp":
         if not rectangular:
             raise ValueError("the column DP only handles bounded rectangular lattices")
+        if side > dp_width:
+            raise ValueError(
+                f"the shorter side of {lattice.descriptor()} has {side} rows, "
+                f"more than the DP width limit {dp_width}; raise --dp-width"
+            )
         if lattice.rows <= dp_width:
             return solver.dp_F_rect(lattice.rows, lattice.cols, width_limit=dp_width)
         result = solver.dp_F_rect(lattice.cols, lattice.rows, width_limit=dp_width)
@@ -215,9 +224,9 @@ def cmd_motif(args) -> int:
         motif = {"rect": periodic.rect_code_motif, "tri": periodic.tri_code_motif}[args.lattice](args.residue)
     if args.window:
         # The window comes first, so an unusable one is rejected before any work.
-        rows, cols = _parse_window(args.window)
-        expansion = periodic.expand_motif(motif, rows, cols)
-        window = periodic.window_lattice(motif, rows, cols)
+        window = periodic.window_lattice(motif, *_parse_window(args.window))
+        # The audit compiles the window anyway; expand over its vertex order.
+        expansion = motif.translates_in(window.compiled.order)
     report = periodic.verify_perfect(motif)
     payload = {
         "kind": motif.kind.value,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .lattice import Coord, Lattice, LatticeKind
 from .packing import DominationReport, audit
@@ -74,6 +75,10 @@ class Motif:
         p, q = self.periods
         return ((v[0] - 1) % p + 1, (v[1] - 1) % q + 1) in self._cell_set
 
+    def translates_in(self, vertices: Iterable[Coord]) -> tuple[Coord, ...]:
+        """The given vertices that lie in the periodic extension, in order."""
+        return tuple(v for v in vertices if self.contains_translate(v))
+
 
 def _residue_motif(kind: LatticeKind, p: int, residue: int) -> Motif:
     """The cells (x, y) of the p x p torus with x + 3y == residue (mod p)."""
@@ -107,6 +112,8 @@ def verify_perfect(motif: Motif) -> DominationReport:
 
 def window_lattice(motif: Motif, rows: int, cols: int) -> Lattice:
     """The bounded lattice a motif expansion lives on."""
+    if rows < 1 or cols < 1:
+        raise ValueError("window must be at least 1x1")
     if motif.kind is LatticeKind.TRIANGULAR and rows != cols:
         raise ValueError("triangular windows are triangle patches: rows must equal cols")
     return Lattice(motif.kind, rows, cols)
@@ -118,7 +125,4 @@ def expand_motif(motif: Motif, rows: int, cols: int) -> tuple[Coord, ...]:
     The result is always a 2-packing of the window lattice; any voids sit
     next to the window boundary, where a cell's dominator was cut off.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("window must be at least 1x1")
-    window = window_lattice(motif, rows, cols)
-    return tuple(v for v in window.vertices() if motif.contains_translate(v))
+    return motif.translates_in(window_lattice(motif, rows, cols).vertices())

@@ -174,6 +174,21 @@ def test_solve_transposes_wide_grids(capsys):
     assert audit(rect(20, 3), members).influence == payload["F"]
 
 
+@pytest.mark.parametrize("method", [[], ["--method", "dp"]], ids=["auto", "dp"])
+def test_solve_too_wide_names_shorter_side(capsys, monkeypatch, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(solver, "dp_F_rect", refuse)
+    monkeypatch.setattr(solver, "brute_force_F", refuse)
+    code, out, err = run(capsys, "solve", "rect:20x18", *method)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the shorter side of rect:20x18 has 18 rows, "
+        "more than the DP width limit 16; raise --dp-width\n"
+    )
+
+
 def test_solve_bad_descriptor(capsys):
     code, _, err = run(capsys, "solve", "blob:9x9")
     assert code == 2 and "descriptor" in err
@@ -298,6 +313,20 @@ def test_motif_window_ascii(capsys):
     assert len(lines) == 9
     # windowed expansion leaves voids, all next to the border
     assert "o" in out
+
+
+def test_motif_window_listed_once(capsys, monkeypatch):
+    listed = []
+    real_vertices = Lattice.vertices
+
+    def spy(self):
+        listed.append(self.descriptor())
+        return real_vertices(self)
+
+    monkeypatch.setattr(Lattice, "vertices", spy)
+    code, payload, _ = run_json(capsys, "motif", "--lattice", "rect", "--window", "50x50")
+    assert code == 0 and payload["window"] == "rect:50x50"
+    assert listed.count("rect:50x50") == 1
 
 
 def test_motif_hex_rejects_residue(capsys):

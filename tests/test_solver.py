@@ -193,7 +193,8 @@ def test_dp_deterministic():
 
 @pytest.mark.parametrize(
     "m,n",
-    [(m, n) for m in range(1, 9) for n in range(1, 15)] + [(10, 300), (12, 12)],
+    [(m, n) for m in range(1, 9) for n in range(1, 15)]
+    + [(10, 300), (12, 12), (9, 31), (11, 20), (13, 13), (14, 6), (16, 1), (16, 3)],
 )
 def test_dp_matches_reference_sweep(m, n):
     result = dp_F_rect(m, n)
