@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: construct, verify, solve, table, conjecture, motif, augment,
-render.  Primary output is deterministic JSON on stdout (stable key
-order, no timing data); timings go to stderr.
+render.  Primary output is deterministic JSON on stdout, with no timing
+data (timings go to stderr).  Layout: keys sorted, ", " and ": " as
+separators, and a list or object kept on one line when that line fits in
+76 columns after its indent; otherwise each item gets its own line,
+indented two more spaces.  ``render --format svg`` is written row by row
+as it is drawn.
 
 Exit codes: 0 success (for ``verify``: the set is an efficient dominating
 set), 1 a valid 2-packing that leaves voids (or a construction whose
@@ -29,7 +33,7 @@ from .packing import (
     transpose_set,
     vertex_to_json,
 )
-from .render import RenderStyle, ascii_board, svg_board
+from .render import RenderStyle, ascii_board, svg_lines
 
 EXIT_OK = 0
 EXIT_VOIDS = 1
@@ -37,20 +41,56 @@ EXIT_USAGE = 2
 EXIT_CONFLICTS = 3
 EXIT_INTERNAL = 4
 
+WIDTH = 76
+_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+
+
+def _one_line(obj) -> str:
+    # ``type(obj) is int`` leaves bools, an int subclass, to the encoder,
+    # which prints them as true/false.
+    if type(obj) is int:
+        return str(obj)
+    if type(obj) is list:
+        return "[" + ", ".join(map(_one_line, obj)) + "]"
+    return _encode(obj)
+
+
+def _least_width(obj) -> int:
+    # Fewest characters a one-line form can take: a list of n items needs
+    # 3n (one each, ", " between, brackets), an object of n keys 7n.
+    if isinstance(obj, dict):
+        return 7 * len(obj)
+    if isinstance(obj, list):
+        return 3 * len(obj)
+    return 1
+
 
 def _dumps(obj, pad: str = "") -> str:
-    """Deterministic JSON: sorted keys, short collections kept on one line."""
-    one_line = json.dumps(obj, sort_keys=True, separators=(", ", ": "))
-    if len(one_line) + len(pad) <= 76:
-        return one_line
+    """``obj`` in the module's JSON layout, as if it started after ``pad``.
+
+    A container is encoded for the one-line test only when its least width
+    fits; an object, which the encoder writes in one piece, must also fit
+    with each value at its own least width (a key takes at least six
+    characters besides its value).  Otherwise it is laid out item by item
+    without being encoded.
+    """
+    room = WIDTH - len(pad)
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, list)):
+        return _one_line(obj)
+    fits = _least_width(obj) <= room
+    if fits and is_dict:
+        fits = 6 * len(obj) + sum(map(_least_width, obj.values())) <= room
+    if fits:
+        line = _one_line(obj)
+        if len(line) <= room:
+            return line
     inner = pad + "  "
-    if isinstance(obj, dict):
-        items = [f"{inner}{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
+    if is_dict:
+        items = [f"{inner}{_encode(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, list):
-        items = [f"{inner}{_dumps(v, inner)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return one_line
+    items = [f"{inner}{_dumps(v, inner)}" for v in obj]
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
 def _emit(obj) -> None:
@@ -66,10 +106,16 @@ def _style(args) -> RenderStyle:
     return RenderStyle(dominator=glyphs[0], dominated=glyphs[1], void=glyphs[2])
 
 
-def _render_text(fmt: str, lattice: Lattice, members, report: DominationReport, style: RenderStyle) -> str:
+def _print_board(
+    fmt: str, lattice: Lattice, members, report: DominationReport, style: RenderStyle, file=None
+) -> None:
+    # The SVG goes out row by row, so the whole document is never held.
     if fmt == "svg":
-        return svg_board(lattice, tuple(members), report)
-    return ascii_board(lattice, tuple(members), report, style)
+        pieces = svg_lines(lattice, tuple(members), report)
+    else:
+        pieces = (ascii_board(lattice, tuple(members), report, style),)
+    for piece in pieces:
+        print(piece, file=file)
 
 
 def _load_set_file(path: str) -> tuple[Lattice, tuple]:
@@ -96,7 +142,7 @@ def cmd_construct(args) -> int:
     report = audit(lattice, members)
     _emit({"construction": args.name, "n": args.n, **_audited_set(lattice, members, report)})
     if args.render:
-        print(_render_text(args.render, lattice, members, report, style))
+        _print_board(args.render, lattice, members, report, style)
     return EXIT_OK if construction.contract(args.n, report) else EXIT_VOIDS
 
 
@@ -137,6 +183,14 @@ def _solve_lattice(lattice: Lattice, method: str, brute_limit: int, dp_width: in
             return solver.dp_F_rect(lattice.rows, lattice.cols, width_limit=dp_width)
         result = solver.dp_F_rect(lattice.cols, lattice.rows, width_limit=dp_width)
         return dataclasses.replace(result, witness=transpose_set(result.witness))
+    if lattice.vertex_count > brute_limit:
+        advice = "raise --brute-limit"
+        if rectangular and side <= dp_width:
+            advice = "use --method dp or " + advice
+        raise ValueError(
+            f"{lattice.descriptor()} has {lattice.vertex_count} vertices, which exceeds "
+            f"the brute-force limit {brute_limit}; {advice}"
+        )
     return solver.brute_force_F(lattice, limit=brute_limit)
 
 
@@ -224,9 +278,9 @@ def cmd_motif(args) -> int:
         motif = {"rect": periodic.rect_code_motif, "tri": periodic.tri_code_motif}[args.lattice](args.residue)
     if args.window:
         # The window comes first, so an unusable one is rejected before any work.
-        window = periodic.window_lattice(motif, *_parse_window(args.window))
-        # The audit compiles the window anyway; expand over its vertex order.
-        expansion = motif.translates_in(window.compiled.order)
+        size = _parse_window(args.window)
+        window = periodic.window_lattice(motif, *size)
+        expansion = periodic.expand_motif(motif, *size)
     report = periodic.verify_perfect(motif)
     payload = {
         "kind": motif.kind.value,
@@ -277,12 +331,11 @@ def cmd_render(args) -> int:
     style = _style(args)
     lattice, members = _load_set_file(args.set_file)
     report = audit(lattice, members)
-    text = _render_text(args.format, lattice, members, report, style)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            _print_board(args.format, lattice, members, report, style, fh)
     else:
-        print(text)
+        _print_board(args.format, lattice, members, report, style)
     return EXIT_OK
 
 

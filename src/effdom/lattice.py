@@ -150,10 +150,12 @@ class Lattice:
                 for v in order
             ]
         else:
-            adj = [
-                tuple(sorted(index[u] for u in self._neighbor_candidates(v) if u in index))
-                for v in order
-            ]
+            get = index.get
+            adj = []
+            for v in order:
+                ids = [t for t in map(get, self._neighbor_candidates(v)) if t is not None]
+                ids.sort()
+                adj.append(tuple(ids))
         return CompiledGraph(order, index, adj)
 
     def neighbors(self, v: Coord) -> tuple[Coord, ...]:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .lattice import Coord, Lattice, LatticeKind
 from .packing import DominationReport, audit
@@ -74,10 +73,6 @@ class Motif:
         """Membership of the motif's periodic extension at any coordinate."""
         p, q = self.periods
         return ((v[0] - 1) % p + 1, (v[1] - 1) % q + 1) in self._cell_set
-
-    def translates_in(self, vertices: Iterable[Coord]) -> tuple[Coord, ...]:
-        """The given vertices that lie in the periodic extension, in order."""
-        return tuple(v for v in vertices if self.contains_translate(v))
 
 
 def _residue_motif(kind: LatticeKind, p: int, residue: int) -> Motif:
@@ -124,5 +119,17 @@ def expand_motif(motif: Motif, rows: int, cols: int) -> tuple[Coord, ...]:
 
     The result is always a 2-packing of the window lattice; any voids sit
     next to the window boundary, where a cell's dominator was cut off.
+    Listed row by row: window row i holds the columns y, y + q, ... of the
+    cells (x, y) in row x == i (mod p), for periods p x q.
     """
-    return motif.translates_in(window_lattice(motif, rows, cols).vertices())
+    window = window_lattice(motif, rows, cols)
+    p, q = motif.periods
+    columns: dict[int, list[int]] = {}
+    for x, y in motif.cells:
+        columns.setdefault(x, []).append(y)
+    expansion = []
+    for i in range(1, rows + 1):
+        last = window._row_width(i)
+        js = sorted(j for y in columns.get((i - 1) % p + 1, ()) for j in range(y, last + 1, q))
+        expansion.extend((i, j) for j in js)
+    return tuple(expansion)

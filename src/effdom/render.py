@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .lattice import Coord, Lattice, LatticeKind
 from .packing import DominationReport
@@ -65,6 +66,61 @@ def _positions(lattice: Lattice, cell: float) -> list[tuple[float, float]]:
     return pos
 
 
+def svg_lines(
+    lattice: Lattice,
+    members: tuple[Coord, ...],
+    report: DominationReport,
+    cell: float = 30.0,
+) -> Iterator[str]:
+    """The SVG document in pieces that join with newlines: the header, the
+    edges leaving each lattice row, the vertices of each row, the footer.
+    A row that starts no edge yields no piece, so no blank line appears."""
+    graph = lattice.compiled
+    pos = _positions(lattice, cell)
+    width = max(x for x, _ in pos) + cell
+    height = max(y for _, y in pos) + cell
+    yield (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">'
+    )
+    # Each distinct coordinate is formatted once.
+    text = {c: f"{c:.1f}" for c in {c for xy in pos for c in xy}}
+    labels = [(text[x], text[y]) for x, y in pos]
+    rows, start = [], 0
+    for i in range(1, lattice.rows + 1):
+        end = start + lattice._row_width(i)
+        rows.append(range(start, end))
+        start = end
+    # Skip wrap-around edges: only draw neighbours that are geometrically close.
+    reach = 1.8 * cell
+    for row in rows:
+        lines = []
+        for t in row:
+            ux, uy = pos[t]
+            x1, y1 = labels[t]
+            for s in graph.adj[t]:
+                if s > t and math.hypot(pos[s][0] - ux, pos[s][1] - uy) <= reach:
+                    x2, y2 = labels[s]
+                    lines.append(
+                        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#555" stroke-width="1"/>'
+                    )
+        if lines:
+            yield "\n".join(lines)
+    member_set = set(members)
+    member_dot = f'r="{cell / 3:.1f}" fill="black"'
+    dominated_dot = f'r="{cell / 7:.1f}" fill="black"'
+    void_dot = f'r="{cell / 3:.1f}" fill="white" stroke="black" stroke-width="1.5"'
+    for row in rows:
+        circles = []
+        for t in row:
+            v = graph.order[t]
+            dot = member_dot if v in member_set else dominated_dot if report.coverage.get(v, 0) else void_dot
+            x, y = labels[t]
+            circles.append(f'<circle cx="{x}" cy="{y}" {dot}/>')
+        yield "\n".join(circles)
+    yield "</svg>"
+
+
 def svg_board(
     lattice: Lattice,
     members: tuple[Coord, ...],
@@ -72,35 +128,4 @@ def svg_board(
     cell: float = 30.0,
 ) -> str:
     """A flat SVG: lattice edges as lines, vertices as the three-dot legend."""
-    graph = lattice.compiled
-    pos = _positions(lattice, cell)
-    member_set = set(members)
-    width = max(x for x, _ in pos) + cell
-    height = max(y for _, y in pos) + cell
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">'
-    ]
-    # Skip wrap-around edges: only draw neighbours that are geometrically close.
-    for t, (ux, uy) in enumerate(pos):
-        for s in graph.adj[t]:
-            if s <= t:
-                continue
-            vx, vy = pos[s]
-            if math.hypot(vx - ux, vy - uy) <= 1.8 * cell:
-                parts.append(
-                    f'<line x1="{ux:.1f}" y1="{uy:.1f}" x2="{vx:.1f}" y2="{vy:.1f}" '
-                    'stroke="#555" stroke-width="1"/>'
-                )
-    for v, (x, y) in zip(graph.order, pos):
-        if v in member_set:
-            parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{cell / 3:.1f}" fill="black"/>')
-        elif report.coverage.get(v, 0):
-            parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{cell / 7:.1f}" fill="black"/>')
-        else:
-            parts.append(
-                f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{cell / 3:.1f}" '
-                'fill="white" stroke="black" stroke-width="1.5"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return "\n".join(svg_lines(lattice, members, report, cell))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 
@@ -242,3 +243,21 @@ def reference_knight(n):
         rays[(si, sj)] = tuple(ray)
         full.extend(ray)
     return normalize_set(seeds), rays, normalize_set(full)
+
+
+def reference_dumps(obj, pad: str = "") -> str:
+    """Deterministic JSON: sorted keys, short collections kept on one line.
+
+    The CLI printer as it was before the one-pass rewrite: it encodes every
+    subtree at every depth.  Kept as the oracle for ``effdom.cli._dumps``."""
+    one_line = json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    if len(one_line) + len(pad) <= 76:
+        return one_line
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{json.dumps(k)}: {reference_dumps(obj[k], inner)}" for k in sorted(obj)]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, list):
+        items = [f"{inner}{reference_dumps(v, inner)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return one_line

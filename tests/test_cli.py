@@ -1,10 +1,14 @@
 import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from effdom import solver
-from effdom.cli import main
+from conftest import reference_dumps
+from effdom import render, solver
+from effdom.cli import _dumps, main
 from effdom.lattice import Lattice, rect, tri
 from effdom.packing import audit
 from effdom.render import RenderStyle, ascii_board, svg_board
@@ -187,6 +191,26 @@ def test_solve_too_wide_names_shorter_side(capsys, monkeypatch, method):
         "error: the shorter side of rect:20x18 has 18 rows, "
         "more than the DP width limit 16; raise --dp-width\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,advice",
+    [
+        (["rect:8x8", "--method", "brute"], "use --method dp or raise --brute-limit"),
+        (["tri:10"], "raise --brute-limit"),
+    ],
+    ids=["rect", "tri"],
+)
+def test_solve_over_brute_limit_names_cli_options(capsys, monkeypatch, argv, advice):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(solver, "dp_F_rect", refuse)
+    monkeypatch.setattr(solver, "brute_force_F", refuse)
+    code, out, err = run(capsys, "solve", *argv)
+    assert code == 2 and out == ""
+    assert "exceeds the brute-force limit 49; " + advice + "\n" in err
+    assert err.startswith("error: ") and "dp_F_rect" not in err
 
 
 def test_solve_bad_descriptor(capsys):
@@ -449,6 +473,60 @@ def test_render_cli_svg_out_file(capsys, tmp_path):
     assert out_path.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "lattice,members,fmt",
+    [
+        ("rect:4x4", [(1, 2), (2, 4), (3, 1), (4, 3)], "svg"),
+        ("tri:5", [(1, 1), (1, 4), (3, 2), (4, 1)], "svg"),
+        ("hex-torus:4x4", [(1, 1), (2, 3), (3, 3), (4, 1)], "svg"),
+        ("rect-torus:5x5", [(1, 3), (2, 1), (3, 4), (4, 2), (5, 5)], "svg"),
+        ("rect:3x10", [(1, 1), (1, 7), (2, 10), (3, 2), (3, 5), (3, 8)], "ascii"),
+    ],
+    ids=["rect-svg", "tri-svg", "hex-torus-svg", "rect-torus-svg", "rect-ascii"],
+)
+def test_render_out_file_matches_stdout(capsys, tmp_path, lattice, members, fmt):
+    path = _write_set(tmp_path, "set.json", lattice, members)
+    out_path = tmp_path / "board"
+    code, out, _ = run(capsys, "render", path, "--format", fmt)
+    assert code == 0
+    code, nothing, _ = run(capsys, "render", path, "--format", fmt, "--out", str(out_path))
+    assert code == 0 and nothing == ""
+    assert out_path.read_bytes() == out.encode()
+
+
+class _Writes(io.StringIO):
+    """A stdout that keeps each string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("render", "@", "--format", "svg"), ("construct", "knight", "--n", "9", "--render", "svg")],
+    ids=["render", "construct"],
+)
+def test_cli_streams_svg(tmp_path, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("svg_board built the document as one string")
+
+    path = _write_set(tmp_path, "eds.json", "rect:9x9", [(1, 2), (2, 4), (3, 1), (4, 3)])
+    monkeypatch.setattr(render, "svg_board", refuse)
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([path if a == "@" else a for a in argv]) == 0
+    out = stdout.getvalue()
+    svg = out[out.index("<svg"):]
+    assert out.count("<svg") == 1 and svg.endswith("</svg>\n")
+    # Written row by row: no single write holds half the document.
+    assert max(len(w) for w in stdout.writes if "<" in w) < len(svg) / 2
+
+
 def test_render_cli_defaults_to_ascii(capsys, tmp_path):
     path = _write_set(tmp_path, "p3.json", "rect:3x3", [(1, 1), (3, 2)])
     code, out, _ = run(capsys, "render", path)
@@ -482,3 +560,75 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first, _ = run(capsys, "solve", "rect:6x6")
     _, second, _ = run(capsys, "solve", "rect:6x6")
     assert first == second
+
+
+# -- JSON layout ------------------------------------------------------------------
+
+_json_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-9, 9)
+    | st.floats()
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=8) | st.dictionaries(st.text(max_size=6), children, max_size=6),
+    max_leaves=60,
+)
+
+
+@given(_json_trees, st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_dumps_matches_reference(obj, pad):
+    assert _dumps(obj, " " * pad) == reference_dumps(obj, " " * pad)
+
+
+# Containers whose one-line form has exactly ``length`` >= 7 characters.
+
+
+def _sized_list(length):
+    # n one-digit items take 3n characters; the last item takes up the rest.
+    n = length // 3
+    return [0] * (n - 1) + [10 ** (length - 3 * n)]
+
+
+def _sized_bools(length):
+    # "true, " is six characters.
+    k = (length - 3) // 6
+    return [True] * k + [10 ** (length - 3 - 6 * k)]
+
+
+def _sized_string(length):
+    # A non-ASCII character prints as a six-character escape.
+    return ["\u00e9" + "a" * (length - 10)] if length >= 10 else ["a" * (length - 4)]
+
+
+def _sized_dict(length):
+    # The shortest object, {"": 0}, is the tightest case of the 7n bound.
+    return {"": _sized_list(length - 6)} if length >= 9 else {"": 10 ** (length - 7)}
+
+
+_SIZED = {"ints": _sized_list, "bools": _sized_bools, "string": _sized_string, "dict": _sized_dict}
+
+
+@pytest.mark.parametrize("kind", sorted(_SIZED))
+def test_dumps_width_edges(kind):
+    for room in range(7, 77):
+        pad = " " * (76 - room)
+        for length in (room, room + 1):
+            obj = _SIZED[kind](length)
+            assert len(json.dumps(obj, separators=(", ", ": "))) == length
+            got = _dumps(obj, pad)
+            assert got == reference_dumps(obj, pad)
+            assert ("\n" in got) == (length > room)
+
+
+def test_dumps_real_payloads(capsys, tmp_path):
+    code, out, _ = run(capsys, "construct", "knight", "--n", "40")
+    outputs = [out]
+    payload = json.loads(out)
+    path = _write_set(tmp_path, "knight.json", payload["lattice"], payload["set"])
+    outputs.append(run(capsys, "augment", path)[1])
+    for kind in ("rect", "tri", "hex"):
+        outputs.append(run(capsys, "motif", "--lattice", kind, "--window", "30x30")[1])
+    for out in outputs:
+        assert out == reference_dumps(json.loads(out)) + "\n"

@@ -224,6 +224,24 @@ def test_expand_1x1(c):
     assert cells == (((1, 1),) if (1 + 3) % 5 == c else ())
 
 
+_ALL_MOTIFS = (
+    [pytest.param(rect_code_motif(c), id=f"rect-{c}") for c in range(5)]
+    + [pytest.param(tri_code_motif(c), id=f"tri-{c}") for c in range(7)]
+    + [pytest.param(hex_code_motif(), id="hex")]
+)
+
+
+@pytest.mark.parametrize("motif", _ALL_MOTIFS)
+def test_expand_matches_vertex_filter(motif):
+    # Every window vertex whose wrapped coordinate is a motif cell, row-major.
+    for rows, cols in ((1, 1), (3, 3), (9, 9), (16, 16), (6, 13), (13, 6)):
+        if motif.kind is LatticeKind.TRIANGULAR and rows != cols:
+            continue
+        window = window_lattice(motif, rows, cols)
+        listed = tuple(v for v in window.vertices() if motif.contains_translate(v))
+        assert expand_motif(motif, rows, cols) == listed
+
+
 def test_expand_rejects_empty_window():
     with pytest.raises(ValueError, match="at least 1x1"):
         expand_motif(rect_code_motif(0), 0, 5)
