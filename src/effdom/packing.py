@@ -39,7 +39,15 @@ def _sort_key(v: Vertex):
 
 def normalize_set(members: Iterable[Vertex]) -> tuple[Vertex, ...]:
     """Canonical form of a vertex set: duplicate-free, row-major order."""
-    return tuple(sorted(set(members), key=_sort_key))
+    unique = set(members)
+    # A set of coords only (bools count as ints, as in _sort_key) is already
+    # in row-major order when sorted as plain tuples, with no key calls.
+    if all(
+        isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], int) and isinstance(v[1], int)
+        for v in unique
+    ):
+        return tuple(sorted(unique))
+    return tuple(sorted(unique, key=_sort_key))
 
 
 @dataclass(frozen=True)

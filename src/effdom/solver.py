@@ -28,26 +28,26 @@ precedes (B, C) when A & C == 0.  Weights and compatibility are
 symmetric top to bottom, so (A, B) and its row reflection
 (rev A, rev B) always hold the same value, and the sweep keeps one slot
 per reflection orbit: the canonical id, the smaller of the two (12 693
-of 25 281 states at m = 16).  Each canonical state's predecessor list
-(the slots of its full predecessors, duplicates merged) is built once
-per call.  Every column is then one pull step over flat lists: each
-state takes its best predecessor's value plus a weight that depends only
-on whether the column is the first or the last.  The slot values of
-every column are kept as one ``array('i')``.  ``explored`` counts the
-transitions out of reached full states, summed over the columns; each
-orbit's out-degree follows from the canonical lists by symmetry.
-Witnesses are rebuilt by a right-to-left walk that recomputes one
-back-pointer per column, the first full predecessor with the largest
-value, exactly the choice a sweep over all states would store, and are
-audited before returning.
+of 25 281 states at m = 16).  No predecessor list is stored.  Each
+column goes through each middle mask B once: it ranks B's full
+predecessors (A, B) by value, highest first, and every canonical target
+(B, C) takes the first ranked A with A & C == 0 plus a weight that
+depends only on C and on whether the column is the first or the last.
+The slot values of every column are kept as one ``array('i')``.
+``explored`` counts the transitions out of reached full states, summed
+over the columns.  The out-degree of (A, B) is the size of compat[B]
+less the targets A excludes, counted as the OR of one bitset over
+compat[B] per row of A; both members of an orbit share it.  Witnesses
+are rebuilt by a right-to-left walk that recomputes one back-pointer
+per column, the first full predecessor with the largest value, exactly
+the choice a sweep over all states would store, and are audited
+before returning.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any
 
 from .constructions import conjectured_F
@@ -173,10 +173,11 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
     t0 = time.perf_counter()
 
     masks = _spaced_masks(m)
+    rows_of = {M: _bits(M) for M in masks}
     full = (1 << m) - 1
     # Masks allowed in the next column: picked rows differ by >= 2.
     near = {B: (B | (B << 1) | (B >> 1)) & full for B in masks}
-    compat = {B: [C for C in masks if C & near[B] == 0] for B in masks}
+    compat = {B: [C for C in masks if not C & blocked] for B, blocked in near.items()}
 
     # State ids number the valid (A, B) pairs in sorted order; (A, B)
     # precedes (B, C) when A & C == 0.
@@ -185,46 +186,61 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
     for p, (A, B) in enumerate(pairs):
         ending_in[B].append((p, A))
 
+    # Transitions out of a state (A, B) go to the (B, C) with C in compat[B]
+    # and A & C == 0.  hits[B][r] marks, as bits over compat[B], the C
+    # holding row r, so the OR over A's rows marks the C that A excludes.
+    hits = {}
+    for B, Cs in compat.items():
+        by_row = hits[B] = [0] * m
+        for k, C in enumerate(Cs):
+            for r in rows_of[C]:
+                by_row[r] |= 1 << k
+
     # Reflecting the rows maps (A, B) to (rev A, rev B) and keeps weights and
-    # compatibility, so both always hold the same value.  The sweep keeps one
-    # slot per orbit, for its smaller (canonical) id, in ascending id order.
+    # compatibility, so both always hold the same value and out-degree.  The
+    # sweep keeps one slot per orbit, for its smaller (canonical) id, in
+    # ascending id order, with the out-degree of the whole orbit.
     pair_id = {pair: p for p, pair in enumerate(pairs)}
     rev = {A: int(f"{A:0{m}b}"[::-1], 2) for A in masks}
-    mirror = [pair_id[rev[A], rev[B]] for A, B in pairs]
-    del pair_id
-    canonical = [p for p, r in enumerate(mirror) if p <= r]
-    position = {p: i for i, p in enumerate(canonical)}
-    slot = [position[min(p, r)] for p, r in enumerate(mirror)]
-    del position
-
-    # The slots of each canonical state's predecessors, one per full
-    # predecessor for now.
-    pred = [
-        [slot[p] for p, A in ending_in[B] if not A & C]
-        for B, C in map(pairs.__getitem__, canonical)
-    ]
-    # Transitions out of each orbit: a mirrored target's predecessors are the
-    # mirrors of the target's, so a target whose mirror is another state
-    # counts its list twice.
-    fan_in = Counter(chain.from_iterable(pred))
-    fan_in_fixed = Counter(
-        chain.from_iterable(ps for q, ps in zip(canonical, pred) if mirror[q] == q)
-    )
-    out_degree = [2 * fan_in[s] - fan_in_fixed[s] for s in range(len(canonical))]
+    canonical: list[int] = []
+    slot: list[int] = []
+    out_degree: list[int] = []
+    # targets[M] lists, in slot order, the C of every canonical state (M, C):
+    # as a target of the step, (M, C) has middle mask M.
+    targets: dict[int, list[int]] = {B: [] for B in masks}
+    for p, (A, B) in enumerate(pairs):
+        twin = pair_id[rev[A], rev[B]]
+        if twin < p:
+            slot.append(slot[twin])
+            continue
+        slot.append(len(canonical))
+        canonical.append(p)
+        targets[A].append(B)
+        excluded = 0
+        for r in rows_of[A]:
+            excluded |= hits[B][r]
+        degree = len(compat[B]) - excluded.bit_count()
+        out_degree.append(degree if twin == p else 2 * degree)
     all_out = sum(out_degree)
-    del mirror, fan_in, fan_in_fixed
-    # Both members of an orbit precede (B, C) only when B is a palindrome.
-    for ps, q in zip(pred, canonical):
-        B = pairs[q][1]
-        if rev[B] == B:
-            ps[:] = dict.fromkeys(ps)
+    del pair_id, hits
 
-    def weights_for(first: bool, last: bool) -> list[int]:
+    # Each column goes through each middle mask B once.  A step holds the
+    # slots and A masks of the full predecessors (A, B) ending in B, and the
+    # C of every canonical target (B, C); the steps in mask order list the
+    # targets in slot order.
+    steps = [
+        ([slot[p] for p, _ in ending_in[B]], [A for _, A in ending_in[B]], Cs)
+        for B, Cs in targets.items()
+        if Cs
+    ]
+    del targets
+
+    def weights_for(first: bool, last: bool) -> list[list[int]]:
         per_row = [1 + (r > 0) + (r < m - 1) + first + last for r in range(m)]
-        cw = {C: sum(per_row[r] for r in _bits(C)) for C in masks}
-        return [cw[pairs[q][1]] for q in canonical]
+        cw = {C: sum(per_row[r] for r in rows_of[C]) for C in masks}
+        return [[cw[C] for C in Cs] for _, _, Cs in steps]
 
-    weight_cache: dict[tuple[bool, bool], list[int]] = {}
+    weight_cache: dict[tuple[bool, bool], list[list[int]]] = {}
 
     # Unreached states start far enough below zero to stay negative after
     # n columns of weights (each at most 5 per row), so reached <=> >= 0.
@@ -242,7 +258,17 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
             weight_cache[key] = weights_for(*key)
         explored += reached_out
         score = val.__getitem__
-        val = [max(map(score, ps)) + x for ps, x in zip(pred, weight_cache[key])]
+        val = []
+        append = val.append
+        for (slots, As, Cs), ws in zip(steps, weight_cache[key]):
+            # B's full predecessors, best first; each target (B, C) takes
+            # the first one whose A is disjoint from C (A = 0 always is).
+            ranked = sorted(zip(map(score, slots), As), reverse=True)
+            for C, w in zip(Cs, ws):
+                for v, A in ranked:
+                    if not A & C:
+                        append(v + w)
+                        break
         values.append(array("i", val))
         # Every state has out-degree >= 1 (C = 0 always fits), so the sum
         # reaches all_out exactly when every state is reached, and stays.
@@ -263,7 +289,7 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
         before = values[c - 1]
         state = max((p for p, A in ending_in[B] if not A & C), key=lambda p: before[slot[p]])
     witness = normalize_set(
-        (r + 1, c) for c in range(1, n + 1) for r in _bits(column_masks[c])
+        (r + 1, c) for c in range(1, n + 1) for r in rows_of[column_masks[c]]
     )
     elapsed = time.perf_counter() - t0
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import greedy_random_packing, pairwise_distances_ok
-from effdom.constructions import eds_p4_p4
+from effdom.constructions import Pendant, eds_p4_p4
 from effdom.lattice import InvalidCoordError, hexa, rect, tri
 from effdom.packing import (
+    _sort_key,
     audit,
     influence,
     is_two_packing,
@@ -76,6 +77,42 @@ def test_eds_iff_influence_equals_vertex_count():
 def test_normalize_orders_and_dedups():
     assert normalize_set([(2, 1), (1, 2), (2, 1)]) == ((1, 2), (2, 1))
     assert normalize_set([]) == ()
+
+
+def _keyed_normalize(members):
+    # normalize_set without its fast path for coord-only sets
+    return tuple(sorted(set(members), key=_sort_key))
+
+
+_PENDANTS = [Pendant(k, (1, k + 1)) for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [(3, 1), (1, 2), (2, 2), (1, 2), (-1, 5)],
+        [(True, False), (0, 1), (False, False), (1, 0), (True, True), (2, False)],
+        [(1, 1), (True, 1), (1, True), (0, 0)],
+        [(2, 1), _PENDANTS[2], (1, 4), _PENDANTS[0], (2, 1), _PENDANTS[0]],
+        _PENDANTS[::-1],
+        # tuples that are not int pairs go after the coords
+        [(1, 2), (0, 5, 1), (1, 0)],
+        [(1, 1), (0.5, 1)],
+        [(2, 2), ("a", 1)],
+        [],
+    ],
+)
+def test_normalize_fast_path_matches_keyed_sort(members):
+    fast, keyed = normalize_set(members), _keyed_normalize(members)
+    assert fast == keyed
+    # equal tuples may differ in their coordinate types (True == 1)
+    assert [repr(v) for v in fast] == [repr(v) for v in keyed]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5) | st.booleans(), st.integers(-5, 5) | st.booleans())))
+def test_normalize_fast_path_matches_keyed_sort_on_int_pairs(members):
+    assert [repr(v) for v in normalize_set(members)] == [repr(v) for v in _keyed_normalize(members)]
 
 
 def test_transpose_set():

@@ -194,11 +194,19 @@ def test_dp_deterministic():
 @pytest.mark.parametrize(
     "m,n",
     [(m, n) for m in range(1, 9) for n in range(1, 15)]
-    + [(10, 300), (12, 12), (9, 31), (11, 20), (13, 13), (14, 6), (16, 1), (16, 3)],
+    + [(10, 300), (12, 12), (9, 31), (11, 20), (13, 13), (14, 6), (15, 15)]
+    + [(16, 1), (16, 3), (16, 5)],
 )
 def test_dp_matches_reference_sweep(m, n):
     result = dp_F_rect(m, n)
     assert (result.f_value, result.witness, result.explored) == reference_dp_rect(m, n)
+
+
+def test_dp_full_height_square():
+    # Taken from reference_dp_rect(16, 16), which is too slow to rerun here;
+    # explored pins the out-degree count of every state at full height.
+    result = dp_F_rect(16, 16)
+    assert (result.f_value, result.explored) == (244, 17319810)
 
 
 def test_dp_rejects_degenerate():
