@@ -119,7 +119,11 @@ def _print_board(
 
 
 def _load_set_file(path: str) -> tuple[Lattice, tuple]:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
     return set_from_json(json.loads(text))
 
 

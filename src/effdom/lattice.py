@@ -142,20 +142,18 @@ class Lattice:
         order = self.vertices()
         index = {v: t for t, v in enumerate(order)}
         rows, cols = self.rows, self.cols
-        # The torus sizes checked in __post_init__ leave no repeated neighbour.
-        if self.torus:
-            adj = [
-                tuple(sorted(index[((i - 1) % rows + 1, (j - 1) % cols + 1)]
-                             for i, j in self._neighbor_candidates(v)))
-                for v in order
-            ]
-        else:
-            get = index.get
-            adj = []
-            for v in order:
-                ids = [t for t in map(get, self._neighbor_candidates(v)) if t is not None]
-                ids.sort()
-                adj.append(tuple(ids))
+        torus = self.torus
+        get = index.get
+        adj = []
+        for v in order:
+            candidates = self._neighbor_candidates(v)
+            # A torus wraps each candidate onto its vertex; the sizes checked
+            # in __post_init__ leave no repeated neighbour.
+            if torus:
+                candidates = [((i - 1) % rows + 1, (j - 1) % cols + 1) for i, j in candidates]
+            ids = [t for t in map(get, candidates) if t is not None]
+            ids.sort()
+            adj.append(tuple(ids))
         return CompiledGraph(order, index, adj)
 
     def neighbors(self, v: Coord) -> tuple[Coord, ...]:

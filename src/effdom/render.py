@@ -14,6 +14,9 @@ from typing import Iterator
 from .lattice import Coord, Lattice, LatticeKind
 from .packing import DominationReport
 
+# Distance between neighbouring vertices in an SVG drawing, in pixels.
+CELL = 30.0
+
 
 @dataclass(frozen=True)
 class RenderStyle:
@@ -52,17 +55,17 @@ def ascii_board(
     return "\n".join(lines)
 
 
-def _positions(lattice: Lattice, cell: float) -> list[tuple[float, float]]:
+def _positions(lattice: Lattice) -> list[tuple[float, float]]:
     """Drawing position of each vertex, indexed by vertex id."""
     pos = []
     for i, j in lattice.compiled.order:
         if lattice.kind is LatticeKind.TRIANGULAR:
-            x = (j - 1 + (i - 1) * 0.5) * cell
-            y = (i - 1) * cell * math.sqrt(3) / 2
+            x = (j - 1 + (i - 1) * 0.5) * CELL
+            y = (i - 1) * CELL * math.sqrt(3) / 2
         else:
-            x = (j - 1) * cell
-            y = (i - 1) * cell
-        pos.append((x + cell, y + cell))
+            x = (j - 1) * CELL
+            y = (i - 1) * CELL
+        pos.append((x + CELL, y + CELL))
     return pos
 
 
@@ -70,15 +73,14 @@ def svg_lines(
     lattice: Lattice,
     members: tuple[Coord, ...],
     report: DominationReport,
-    cell: float = 30.0,
 ) -> Iterator[str]:
     """The SVG document in pieces that join with newlines: the header, the
     edges leaving each lattice row, the vertices of each row, the footer.
     A row that starts no edge yields no piece, so no blank line appears."""
     graph = lattice.compiled
-    pos = _positions(lattice, cell)
-    width = max(x for x, _ in pos) + cell
-    height = max(y for _, y in pos) + cell
+    pos = _positions(lattice)
+    width = max(x for x, _ in pos) + CELL
+    height = max(y for _, y in pos) + CELL
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">'
@@ -92,7 +94,7 @@ def svg_lines(
         rows.append(range(start, end))
         start = end
     # Skip wrap-around edges: only draw neighbours that are geometrically close.
-    reach = 1.8 * cell
+    reach = 1.8 * CELL
     for row in rows:
         lines = []
         for t in row:
@@ -107,9 +109,9 @@ def svg_lines(
         if lines:
             yield "\n".join(lines)
     member_set = set(members)
-    member_dot = f'r="{cell / 3:.1f}" fill="black"'
-    dominated_dot = f'r="{cell / 7:.1f}" fill="black"'
-    void_dot = f'r="{cell / 3:.1f}" fill="white" stroke="black" stroke-width="1.5"'
+    member_dot = f'r="{CELL / 3:.1f}" fill="black"'
+    dominated_dot = f'r="{CELL / 7:.1f}" fill="black"'
+    void_dot = f'r="{CELL / 3:.1f}" fill="white" stroke="black" stroke-width="1.5"'
     for row in rows:
         circles = []
         for t in row:
@@ -125,7 +127,6 @@ def svg_board(
     lattice: Lattice,
     members: tuple[Coord, ...],
     report: DominationReport,
-    cell: float = 30.0,
 ) -> str:
     """A flat SVG: lattice edges as lines, vertices as the three-dot legend."""
-    return "\n".join(svg_lines(lattice, members, report, cell))
+    return "\n".join(svg_lines(lattice, members, report))

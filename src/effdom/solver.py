@@ -21,27 +21,31 @@ two-column profile captures the 2-packing condition exactly.  The
 objective adds 1 + deg for every picked vertex with true boundary
 degrees, which for a 2-packing equals the number of dominated vertices.
 
-The sweep is a max-plus transfer-matrix product over integer pair ids
-(Alanko, Crevals, Isopoussu, Östergård & Pettersson, EJC 2011).  The
-valid (A, B) column pairs are numbered 0..P-1 in sorted order; (A, B)
-precedes (B, C) when A & C == 0.  Weights and compatibility are
-symmetric top to bottom, so (A, B) and its row reflection
-(rev A, rev B) always hold the same value, and the sweep keeps one slot
-per reflection orbit: the canonical id, the smaller of the two (12 693
-of 25 281 states at m = 16).  No predecessor list is stored.  Each
-column goes through each middle mask B once: it ranks B's full
-predecessors (A, B) by value, highest first, and every canonical target
-(B, C) takes the first ranked A with A & C == 0 plus a weight that
-depends only on C and on whether the column is the first or the last.
-The slot values of every column are kept as one ``array('i')``.
+The sweep is a max-plus transfer-matrix product over the valid (A, B)
+column pairs (Alanko, Crevals, Isopoussu, Östergård & Pettersson, EJC
+2011); (A, B) precedes (B, C) when A & C == 0.  Weights and
+compatibility are symmetric top to bottom, so (A, B) and its row
+reflection (rev A, rev B) always hold the same value, and the sweep
+keeps one integer slot per reflection orbit, numbered in the sorted
+order of the canonical pair, the smaller of the two (12 693 of 25 281
+states at m = 16).  No predecessor list is stored: compat is
+symmetric, so B's predecessors are the (A, B) with A in compat[B].
+Each column goes through each middle mask B once: it ranks B's full
+predecessors by value, highest first, and every canonical target (B, C)
+takes the first ranked A with A & C == 0 plus a weight that depends
+only on C and on whether the column is the first or the last.  The slot
+values of every column are kept as one ``array('i')``.
+
 ``explored`` counts the transitions out of reached full states, summed
-over the columns.  The out-degree of (A, B) is the size of compat[B]
-less the targets A excludes, counted as the OR of one bitset over
-compat[B] per row of A; both members of an orbit share it.  Witnesses
-are rebuilt by a right-to-left walk that recomputes one back-pointer
-per column, the first full predecessor with the largest value, exactly
-the choice a sweep over all states would store, and are audited
-before returning.
+over the columns.  Column 1 reaches every (0, C) and column 2 every
+valid pair, so it is fixed before the sweep starts:
+len(masks) + (n > 1) * P + max(n - 2, 0) * T, where P counts the valid
+pairs and T the valid (A, B, C) with A & C == 0 (one bitset over
+compat[B] per row gives the C that each A excludes).  Witnesses are
+rebuilt by a right-to-left walk that recomputes one back-pointer per
+column, the full predecessor with the largest value and the smallest
+A, exactly the choice a sweep over all states would store, and are
+audited before returning.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .constructions import conjectured_F
-from .lattice import rect
+from .lattice import MAX_VERTICES, rect
 from .packing import Vertex, audit, normalize_set
 
 BRUTE_FORCE_LIMIT = 49
@@ -175,65 +179,56 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
     masks = _spaced_masks(m)
     rows_of = {M: _bits(M) for M in masks}
     full = (1 << m) - 1
-    # Masks allowed in the next column: picked rows differ by >= 2.
+    # Masks allowed in the next column: picked rows differ by >= 2.  The
+    # relation is symmetric, so compat[B] also lists the A that may precede B.
     near = {B: (B | (B << 1) | (B >> 1)) & full for B in masks}
     compat = {B: [C for C in masks if not C & blocked] for B, blocked in near.items()}
 
-    # State ids number the valid (A, B) pairs in sorted order; (A, B)
-    # precedes (B, C) when A & C == 0.
-    pairs = [(A, B) for A in masks for B in compat[A]]
-    ending_in: dict[int, list[tuple[int, int]]] = {B: [] for B in masks}
-    for p, (A, B) in enumerate(pairs):
-        ending_in[B].append((p, A))
-
-    # Transitions out of a state (A, B) go to the (B, C) with C in compat[B]
-    # and A & C == 0.  hits[B][r] marks, as bits over compat[B], the C
-    # holding row r, so the OR over A's rows marks the C that A excludes.
-    hits = {}
-    for B, Cs in compat.items():
-        by_row = hits[B] = [0] * m
-        for k, C in enumerate(Cs):
-            for r in rows_of[C]:
-                by_row[r] |= 1 << k
-
     # Reflecting the rows maps (A, B) to (rev A, rev B) and keeps weights and
-    # compatibility, so both always hold the same value and out-degree.  The
-    # sweep keeps one slot per orbit, for its smaller (canonical) id, in
-    # ascending id order, with the out-degree of the whole orbit.
-    pair_id = {pair: p for p, pair in enumerate(pairs)}
+    # compatibility, so both always hold the same value: the sweep keeps one
+    # slot per orbit.  Going through the valid pairs in sorted order numbers
+    # the slots by their canonical (smaller) pair, and a pair whose twin came
+    # first shares the twin's slot.
     rev = {A: int(f"{A:0{m}b}"[::-1], 2) for A in masks}
-    canonical: list[int] = []
-    slot: list[int] = []
-    out_degree: list[int] = []
-    # targets[M] lists, in slot order, the C of every canonical state (M, C):
-    # as a target of the step, (M, C) has middle mask M.
-    targets: dict[int, list[int]] = {B: [] for B in masks}
-    for p, (A, B) in enumerate(pairs):
-        twin = pair_id[rev[A], rev[B]]
-        if twin < p:
-            slot.append(slot[twin])
-            continue
-        slot.append(len(canonical))
-        canonical.append(p)
-        targets[A].append(B)
-        excluded = 0
-        for r in rows_of[A]:
-            excluded |= hits[B][r]
-        degree = len(compat[B]) - excluded.bit_count()
-        out_degree.append(degree if twin == p else 2 * degree)
-    all_out = sum(out_degree)
-    del pair_id, hits
+    slot: dict[tuple[int, int], int] = {}
+    canonical: list[tuple[int, int]] = []
+    for A in masks:
+        for B in compat[A]:
+            twin = (rev[A], rev[B])
+            if twin in slot:
+                slot[A, B] = slot[twin]
+            else:
+                slot[A, B] = len(canonical)
+                canonical.append((A, B))
+
+    # Column 1 leaves (0, 0) for every (0, C) and column 2 leaves each (0, B)
+    # for every (B, C), so every later column leaves every state (A, B) for
+    # the (B, C) with A & C == 0.  by_row[r] marks, as bits over compat[B],
+    # the C holding row r; the OR over A's rows marks the C that A excludes.
+    explored = len(masks) + (n > 1) * len(slot)
+    if n > 2:
+        triples = 0
+        for Cs in compat.values():
+            by_row = [0] * m
+            for k, C in enumerate(Cs):
+                for r in rows_of[C]:
+                    by_row[r] |= 1 << k
+            for A in Cs:
+                excluded = 0
+                for r in rows_of[A]:
+                    excluded |= by_row[r]
+                triples += len(Cs) - excluded.bit_count()
+        explored += (n - 2) * triples
 
     # Each column goes through each middle mask B once.  A step holds the
-    # slots and A masks of the full predecessors (A, B) ending in B, and the
-    # C of every canonical target (B, C); the steps in mask order list the
+    # slots of B's full predecessors (A, B), ascending in A, and the C of
+    # every canonical target (B, C); the steps in mask order list the
     # targets in slot order.
-    steps = [
-        ([slot[p] for p, _ in ending_in[B]], [A for _, A in ending_in[B]], Cs)
-        for B, Cs in targets.items()
-        if Cs
-    ]
-    del targets
+    steps = []
+    for B, As in compat.items():
+        Cs = [C for C in As if (B, C) <= (rev[B], rev[C])]
+        if Cs:
+            steps.append(([slot[A, B] for A in As], As, Cs))
 
     def weights_for(first: bool, last: bool) -> list[list[int]]:
         per_row = [1 + (r > 0) + (r < m - 1) + first + last for r in range(m)]
@@ -243,20 +238,16 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
     weight_cache: dict[tuple[bool, bool], list[list[int]]] = {}
 
     # Unreached states start far enough below zero to stay negative after
-    # n columns of weights (each at most 5 per row), so reached <=> >= 0.
-    # The start state (0, 0) has id 0 and slot 0.
-    unreached = -1 - 5 * m * n
-    val = [unreached] * len(canonical)
+    # n columns of weights (each at most 5 per row), so no value built on
+    # one beats a reached state.  The start state (0, 0) has slot 0.
+    val = [-1 - 5 * m * n] * len(canonical)
     val[0] = 0
-    reached_out = out_degree[0]
-    explored = 0
     # values[c] holds the slot values after column c.
     values = [array("i", val)]
     for c in range(1, n + 1):
         key = (c > 1, c < n)
         if key not in weight_cache:
             weight_cache[key] = weights_for(*key)
-        explored += reached_out
         score = val.__getitem__
         val = []
         append = val.append
@@ -270,24 +261,20 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
                         append(v + w)
                         break
         values.append(array("i", val))
-        # Every state has out-degree >= 1 (C = 0 always fits), so the sum
-        # reaches all_out exactly when every state is reached, and stays.
-        if reached_out != all_out:
-            reached_out = sum(d for d, v in zip(out_degree, val) if v >= 0)
 
     best_value = max(val)
-    # The smallest full id of an orbit is its canonical id, so the first
-    # maximal slot holds the first maximal full state.
+    # The canonical pair is the smaller of its orbit, so the first maximal
+    # slot holds the first maximal pair in sorted order.
     state = canonical[val.index(best_value)]
 
     # Walk right to left, recomputing one back-pointer per column: the first
-    # full predecessor, in ascending id order, with the largest value.
+    # full predecessor, in ascending A, with the largest value.
     column_masks = [0] * (n + 1)
     for c in range(n, 0, -1):
-        B, C = pairs[state]
+        B, C = state
         column_masks[c] = C
         before = values[c - 1]
-        state = max((p for p, A in ending_in[B] if not A & C), key=lambda p: before[slot[p]])
+        state = max(((A, B) for A in compat[B] if not A & C), key=lambda s: before[slot[s]])
     witness = normalize_set(
         (r + 1, c) for c in range(1, n + 1) for r in rows_of[column_masks[c]]
     )
@@ -318,8 +305,14 @@ def check_conjecture(
     Squares wider than the DP limit are reported with ``dp_value=None``
     (unverified), never guessed.  The same rows give the void view:
     n^2 - conjectured is the predicted void count and n^2 - dp_value the
-    exact one, so ``matches`` holds in both views at once.
+    exact one, so ``matches`` holds in both views at once.  A range whose
+    largest square has more than ``MAX_VERTICES`` vertices is rejected
+    before any square is solved.
     """
+    if hi > 0 and hi * hi > MAX_VERTICES:
+        raise ValueError(
+            f"the {hi}x{hi} square has {hi * hi} vertices, more than the limit {MAX_VERTICES}"
+        )
     rows = []
     for n in range(lo, hi + 1):
         target = conjectured_F(n)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,15 @@ def test_verify_rejects_boolean_coordinates(capsys, tmp_path):
     path.write_text('{"lattice": "rect:3x3", "set": [[true, 1]]}')
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2 and out == "" and "error" in err
+
+
+def test_verify_closes_set_file(capsys, tmp_path):
+    path = _write_set(tmp_path, "eds.json", "rect:4x4", [(1, 2), (2, 4), (3, 1), (4, 3)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, "verify", path)
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_verify_reads_stdin(capsys, monkeypatch):
@@ -417,6 +427,21 @@ def test_oversized_motif_window_rejected(capsys, no_vertex_listing):
 
 def test_oversized_construction_rejected(capsys, no_vertex_listing):
     _assert_rejected_before_work(*run(capsys, "construct", "knight", "--n", "100000"))
+
+
+@pytest.mark.parametrize("command", ["table", "conjecture"])
+def test_oversized_square_range_rejected(capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the DP")
+
+    monkeypatch.setattr(solver, "dp_F_rect", refuse)
+    _assert_rejected_before_work(*run(capsys, command, "--from", "7", "--to", "2001"))
+
+
+def test_largest_square_range_accepted(capsys):
+    code, payload, _ = run_json(capsys, "table", "--from", "7", "--to", "2000", "--dp-width", "6")
+    assert code == 0 and len(payload["rows"]) == 1994
+    assert payload["rows"][-1]["n"] == 2000 and payload["rows"][-1]["verified"] is False
 
 
 # -- render ---------------------------------------------------------------------

@@ -195,7 +195,7 @@ def test_dp_deterministic():
     "m,n",
     [(m, n) for m in range(1, 9) for n in range(1, 15)]
     + [(10, 300), (12, 12), (9, 31), (11, 20), (13, 13), (14, 6), (15, 15)]
-    + [(16, 1), (16, 3), (16, 5)],
+    + [(16, 1), (16, 2), (16, 3), (16, 5), (12, 1), (12, 2)],
 )
 def test_dp_matches_reference_sweep(m, n):
     result = dp_F_rect(m, n)
@@ -204,7 +204,8 @@ def test_dp_matches_reference_sweep(m, n):
 
 def test_dp_full_height_square():
     # Taken from reference_dp_rect(16, 16), which is too slow to rerun here;
-    # explored pins the out-degree count of every state at full height.
+    # explored = 595 + 25 281 + 14 * 1 235 281 pins the count of valid
+    # (A, B, C) column triples at full height.
     result = dp_F_rect(16, 16)
     assert (result.f_value, result.explored) == (244, 17319810)
 
