@@ -124,7 +124,11 @@ def _load_set_file(path: str) -> tuple[Lattice, tuple]:
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return set_from_json(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("the set file nests too deeply to parse") from None
+    return set_from_json(obj)
 
 
 def _audited_set(lattice: Lattice, members, report: DominationReport) -> dict:
@@ -171,10 +175,7 @@ def _solve_lattice(lattice: Lattice, method: str, brute_limit: int, dp_width: in
     rectangular = lattice.kind is LatticeKind.RECTANGULAR and not lattice.torus
     side = min(lattice.rows, lattice.cols)
     if method == "auto":
-        # A rectangle too wide for the DP goes to the oracle only when the
-        # oracle takes it; otherwise the DP's width error is the useful one.
-        dp_first = side <= dp_width or lattice.vertex_count > brute_limit
-        method = "dp" if rectangular and dp_first else "brute"
+        method = "dp" if rectangular else "brute"
     if method == "dp":
         if not rectangular:
             raise ValueError("the column DP only handles bounded rectangular lattices")
@@ -183,9 +184,10 @@ def _solve_lattice(lattice: Lattice, method: str, brute_limit: int, dp_width: in
                 f"the shorter side of {lattice.descriptor()} has {side} rows, "
                 f"more than the DP width limit {dp_width}; raise --dp-width"
             )
-        if lattice.rows <= dp_width:
-            return solver.dp_F_rect(lattice.rows, lattice.cols, width_limit=dp_width)
-        result = solver.dp_F_rect(lattice.cols, lattice.rows, width_limit=dp_width)
+        # The sweep crosses the shorter side; F is transpose-invariant.
+        if lattice.rows == side:
+            return solver.dp_F_rect(side, lattice.cols, width_limit=dp_width)
+        result = solver.dp_F_rect(side, lattice.rows, width_limit=dp_width)
         return dataclasses.replace(result, witness=transpose_set(result.witness))
     if lattice.vertex_count > brute_limit:
         advice = "raise --brute-limit"
@@ -231,6 +233,9 @@ def cmd_solve(args) -> int:
 
 
 def _check_range(args) -> None:
+    # The conjectured F, and so every row, is defined from n = 7 on.
+    if args.lo < 7:
+        raise ValueError(f"--from must be at least 7, got {args.lo}")
     if args.lo > args.hi:
         raise ValueError(f"empty range: --from {args.lo} is greater than --to {args.hi}")
 
@@ -414,7 +419,7 @@ def main(argv: Iterable[str] | None = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -86,7 +86,9 @@ class Lattice:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"lattice dimensions must be positive, got {self.rows}x{self.cols}")
         if self.kind is LatticeKind.TRIANGULAR and not self.torus and self.rows != self.cols:
-            raise ValueError("a bounded triangular patch has a single side length")
+            raise ValueError(
+                f"a bounded triangular patch has a single side length, got {self.rows}x{self.cols}"
+            )
         if self.torus:
             if self.kind is LatticeKind.HEXAGONAL:
                 if self.rows % 2 or self.cols % 2 or self.rows < 4 or self.cols < 4:
@@ -219,8 +221,6 @@ class Lattice:
                 rows = cols = int(size)
         except (ValueError, KeyError) as exc:
             raise ValueError(f"unrecognized lattice descriptor {text!r}") from exc
-        if kind is LatticeKind.TRIANGULAR and not torus and rows != cols:
-            raise ValueError(f"bounded triangular lattices take a single side: tri:S, got {text!r}")
         return cls(kind=kind, rows=rows, cols=cols, torus=torus)
 
 

@@ -144,6 +144,10 @@ def set_to_json(lattice: Lattice, members: Iterable[Coord]) -> dict:
 def set_from_json(obj: dict) -> tuple[Lattice, tuple[Coord, ...]]:
     if not isinstance(obj, dict) or "lattice" not in obj or "set" not in obj:
         raise ValueError('expected an object with "lattice" and "set" fields')
+    if not isinstance(obj["lattice"], str):
+        raise ValueError(f'"lattice" must be a descriptor string, got {obj["lattice"]!r}')
+    if not isinstance(obj["set"], list):
+        raise ValueError(f'"set" must be a list of [i, j] pairs, got {obj["set"]!r}')
     lattice = Lattice.from_descriptor(obj["lattice"])
     members = []
     for entry in obj["set"]:

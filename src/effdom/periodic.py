@@ -109,8 +109,6 @@ def window_lattice(motif: Motif, rows: int, cols: int) -> Lattice:
     """The bounded lattice a motif expansion lives on."""
     if rows < 1 or cols < 1:
         raise ValueError("window must be at least 1x1")
-    if motif.kind is LatticeKind.TRIANGULAR and rows != cols:
-        raise ValueError("triangular windows are triangle patches: rows must equal cols")
     return Lattice(motif.kind, rows, cols)
 
 

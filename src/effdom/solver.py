@@ -33,7 +33,7 @@ symmetric, so B's predecessors are the (A, B) with A in compat[B].
 Each column goes through each middle mask B once: it ranks B's full
 predecessors by value, highest first, and every canonical target (B, C)
 takes the first ranked A with A & C == 0 plus a weight that depends
-only on C and on whether the column is the first or the last.  The slot
+only on C and on whether columns lie to its left and right.  The slot
 values of every column are kept as one ``array('i')``.
 
 ``explored`` counts the transitions out of reached full states, summed
@@ -230,12 +230,14 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
         if Cs:
             steps.append(([slot[A, B] for A in As], As, Cs))
 
-    def weights_for(first: bool, last: bool) -> list[list[int]]:
-        per_row = [1 + (r > 0) + (r < m - 1) + first + last for r in range(m)]
+    def weights_for(left: bool, right: bool) -> list[list[int]]:
+        # 1 + degree per row, given whether a column lies left and right.
+        per_row = [1 + (r > 0) + (r < m - 1) + left + right for r in range(m)]
         cw = {C: sum(per_row[r] for r in rows_of[C]) for C in masks}
         return [[cw[C] for C in Cs] for _, _, Cs in steps]
 
-    weight_cache: dict[tuple[bool, bool], list[list[int]]] = {}
+    # Columns 1, 2 and n meet every (left, right) the sweep needs.
+    column_weights = {key: weights_for(*key) for key in {(c > 1, c < n) for c in (1, min(2, n), n)}}
 
     # Unreached states start far enough below zero to stay negative after
     # n columns of weights (each at most 5 per row), so no value built on
@@ -245,13 +247,10 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
     # values[c] holds the slot values after column c.
     values = [array("i", val)]
     for c in range(1, n + 1):
-        key = (c > 1, c < n)
-        if key not in weight_cache:
-            weight_cache[key] = weights_for(*key)
         score = val.__getitem__
         val = []
         append = val.append
-        for (slots, As, Cs), ws in zip(steps, weight_cache[key]):
+        for (slots, As, Cs), ws in zip(steps, column_weights[c > 1, c < n]):
             # B's full predecessors, best first; each target (B, C) takes
             # the first one whose A is disjoint from C (A = 0 always is).
             ranked = sorted(zip(map(score, slots), As), reverse=True)

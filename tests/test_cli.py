@@ -122,6 +122,26 @@ def test_verify_rejects_boolean_coordinates(capsys, tmp_path):
     assert code == 2 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "augment", "render"])
+@pytest.mark.parametrize(
+    "body,blamed",
+    [
+        ('{"lattice": "rect:3x3", "set": 5}', '"set" must be a list'),
+        ('{"lattice": 5, "set": []}', '"lattice" must be a descriptor string'),
+        ('{"lattice": null, "set": []}', '"lattice" must be a descriptor string'),
+        ('{"lattice": "rect:3x3", "set": "ab"}', "got 'ab'"),
+        ("[" * 200_000 + "]" * 200_000, "nests too deeply"),
+    ],
+    ids=["set-int", "lattice-int", "lattice-null", "set-str", "deep"],
+)
+def test_malformed_set_file_usage_error(capsys, tmp_path, command, body, blamed):
+    path = tmp_path / "malformed.json"
+    path.write_text(body)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and blamed in err
+
+
 def test_verify_closes_set_file(capsys, tmp_path):
     path = _write_set(tmp_path, "eds.json", "rect:4x4", [(1, 2), (2, 4), (3, 1), (4, 3)])
     with warnings.catch_warnings(record=True) as caught:
@@ -188,19 +208,25 @@ def test_solve_transposes_wide_grids(capsys):
     assert audit(rect(20, 3), members).influence == payload["F"]
 
 
-@pytest.mark.parametrize("method", [[], ["--method", "dp"]], ids=["auto", "dp"])
-def test_solve_too_wide_names_shorter_side(capsys, monkeypatch, method):
+@pytest.mark.parametrize(
+    "argv,too_wide",
+    [
+        (["rect:20x18"], "rect:20x18 has 18 rows, more than the DP width limit 16"),
+        (["rect:20x18", "--method", "dp"], "rect:20x18 has 18 rows, more than the DP width limit 16"),
+        # auto never hands a rectangle to the oracle, even one it would take.
+        (["rect:7x7", "--dp-width", "6"], "rect:7x7 has 7 rows, more than the DP width limit 6"),
+    ],
+    ids=["auto", "dp", "auto-narrow-width"],
+)
+def test_solve_too_wide_names_shorter_side(capsys, monkeypatch, argv, too_wide):
     def refuse(*args, **kwargs):
         raise AssertionError("a solver ran")
 
     monkeypatch.setattr(solver, "dp_F_rect", refuse)
     monkeypatch.setattr(solver, "brute_force_F", refuse)
-    code, out, err = run(capsys, "solve", "rect:20x18", *method)
+    code, out, err = run(capsys, "solve", *argv)
     assert code == 2 and out == ""
-    assert err == (
-        "error: the shorter side of rect:20x18 has 18 rows, "
-        "more than the DP width limit 16; raise --dp-width\n"
-    )
+    assert err == f"error: the shorter side of {too_wide}; raise --dp-width\n"
 
 
 @pytest.mark.parametrize(
@@ -221,6 +247,29 @@ def test_solve_over_brute_limit_names_cli_options(capsys, monkeypatch, argv, adv
     assert code == 2 and out == ""
     assert "exceeds the brute-force limit 49; " + advice + "\n" in err
     assert err.startswith("error: ") and "dp_F_rect" not in err
+
+
+def test_solve_output_ignores_dp_width(capsys):
+    outs = {
+        run(capsys, "solve", "rect:12x5", *width)[1]
+        for width in ([], ["--dp-width", "5"], ["--dp-width", "12"])
+    }
+    assert len(outs) == 1 and json.loads(outs.pop())["F"] == 54
+
+
+def test_solve_sweeps_shorter_side(capsys, monkeypatch):
+    calls = []
+    dp = solver.dp_F_rect
+
+    def spy(rows, cols, **kwargs):
+        calls.append((rows, cols))
+        return dp(rows, cols, **kwargs)
+
+    monkeypatch.setattr(solver, "dp_F_rect", spy)
+    code, payload, _ = run_json(capsys, "solve", "rect:16x5")
+    assert code == 0 and calls == [(5, 16)]
+    report = audit(rect(16, 5), [tuple(v) for v in payload["witness"]])
+    assert report.is_two_packing and report.influence == payload["F"]
 
 
 def test_solve_bad_descriptor(capsys):
@@ -263,6 +312,17 @@ def test_conjecture_rows(capsys):
 def test_conjecture_reversed_range_usage_error(capsys):
     code, out, err = run(capsys, "conjecture", "--from", "9", "--to", "7")
     assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("command", ["table", "conjecture"])
+def test_range_below_seven_rejected_before_work(capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the DP")
+
+    monkeypatch.setattr(solver, "dp_F_rect", refuse)
+    code, out, err = run(capsys, command, "--from", "1", "--to", "9")
+    assert code == 2 and out == ""
+    assert err == "error: --from must be at least 7, got 1\n"
 
 
 def test_conjecture_raised_dp_width_warns(capsys):

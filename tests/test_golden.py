@@ -44,6 +44,7 @@ _SOLVE_CASES = [
         ("rect:5x5", ("auto", "dp", "brute")),
         ("rect:4x9", ("auto", "dp", "brute")),
         ("rect:20x3", ("auto", "dp")),
+        ("rect:16x2", ("auto", "dp")),
         ("rect-torus:5x5", ("auto", "dp", "brute")),
         ("tri:6", ("auto", "dp", "brute")),
         ("tri-torus:4x4", ("auto", "brute")),
@@ -168,6 +169,8 @@ GOLDEN = {
     "solve-rect-torus:5x5-auto": (0, "bc4f50993c776bab409f4fb8c443b50e9652d9af4c7ba88217c5e61253be2b69"),
     "solve-rect-torus:5x5-brute": (0, "bc4f50993c776bab409f4fb8c443b50e9652d9af4c7ba88217c5e61253be2b69"),
     "solve-rect-torus:5x5-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "solve-rect:16x2-auto": (0, "4af39e67f4e9e2c5b8e11cd098988eafa9cf25d5155213d4db3f30504a1a2ef7"),
+    "solve-rect:16x2-dp": (0, "4af39e67f4e9e2c5b8e11cd098988eafa9cf25d5155213d4db3f30504a1a2ef7"),
     "solve-rect:20x3-auto": (0, "8718913d249c45210a095e94d7cd019e589a62dad4f829388cef40b3c4b724d0"),
     "solve-rect:20x3-dp": (0, "8718913d249c45210a095e94d7cd019e589a62dad4f829388cef40b3c4b724d0"),
     "solve-rect:4x9-auto": (0, "dd832c94507c3514443798f473b0ac3597837600d7d2cf616a3ce3acbbf59f87"),
