@@ -45,14 +45,26 @@ WIDTH = 76
 _encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 
 
+def _int_list_line(obj) -> str | None:
+    # The one-line form of a list that nests only exact ints and lists, in
+    # one pass; None for any other value.  ``type(x) is int`` leaves bools,
+    # an int subclass, to the encoder, which prints them as true/false.
+    if type(obj) is not list:
+        return None
+    parts = []
+    for x in obj:
+        part = str(x) if type(x) is int else _int_list_line(x)
+        if part is None:
+            return None
+        parts.append(part)
+    return "[" + ", ".join(parts) + "]"
+
+
 def _one_line(obj) -> str:
-    # ``type(obj) is int`` leaves bools, an int subclass, to the encoder,
-    # which prints them as true/false.
     if type(obj) is int:
         return str(obj)
-    if type(obj) is list:
-        return "[" + ", ".join(map(_one_line, obj)) + "]"
-    return _encode(obj)
+    line = _int_list_line(obj)
+    return _encode(obj) if line is None else line
 
 
 def _least_width(obj) -> int:
@@ -72,7 +84,10 @@ def _dumps(obj, pad: str = "") -> str:
     fits; an object, which the encoder writes in one piece, must also fit
     with each value at its own least width (a key takes at least six
     characters besides its value).  Otherwise it is laid out item by item
-    without being encoded.
+    without being encoded.  There, an item that nests only ints and lists
+    (a coordinate ``[i, j]``, a coverage pair ``[[i, j], c]``) is written in
+    one pass by ``_int_list_line`` and kept when it fits its line; any
+    other item, or one too wide, is laid out by ``_dumps`` in turn.
     """
     room = WIDTH - len(pad)
     is_dict = isinstance(obj, dict)
@@ -89,7 +104,13 @@ def _dumps(obj, pad: str = "") -> str:
     if is_dict:
         items = [f"{inner}{_encode(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    items = [f"{inner}{_dumps(v, inner)}" for v in obj]
+    room -= 2  # an item's line starts two spaces further in
+    items = []
+    for v in obj:
+        line = _int_list_line(v)
+        if line is None or len(line) > room:
+            line = _dumps(v, inner)
+        items.append(inner + line)
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 

@@ -21,7 +21,14 @@ Hexagonal
     rule survives the wrap; the quotient is 3-regular.
 
 Adjacency is compiled once per instance into ``Lattice.compiled``: vertex
-order, vertex ids and sorted neighbour ids, dying with the instance.
+order, vertex ids and sorted neighbour ids, dying with the instance.  Ids
+are row-major, so ``adj`` is computed by id arithmetic on slices of the
+rows, one rule per kind, with no coordinate lookups: vertex ``t`` of a
+rectangle has neighbours ``t +- 1`` and ``t +- cols``; of a hexagonal
+board ``t +- 1`` and, by the parity of ``i + j``, ``t + cols`` or
+``t - cols``; of a triangle ``t +- 1`` and two each in the rows above and
+below, which a bounded patch finds from its shrinking row widths.  A torus
+wraps the rows and sorts each vertex's ids.
 
 Lattices are immutable values and every operation is a pure function, so
 instances can be shared freely across threads.
@@ -33,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Hashable, NamedTuple
 
 Coord = tuple[int, int]
@@ -40,8 +48,6 @@ Coord = tuple[int, int]
 # Largest vertex count a lattice may have; larger descriptors are rejected
 # before any vertex is listed.
 MAX_VERTICES = 4_000_000
-
-AXIAL_OFFSETS: tuple[Coord, ...] = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
 
 
 class LatticeKind(Enum):
@@ -71,6 +77,13 @@ class CompiledGraph(NamedTuple):
 
     def neighbors(self, v: Hashable) -> tuple[Hashable, ...]:
         return tuple(self.order[s] for s in self.adj[self.index[v]])
+
+
+def _zip_present(*columns: list) -> list[tuple]:
+    # A column is empty when its row does not exist (above the top or below
+    # the bottom of a bounded board) or when no column of this zip has items;
+    # the others are all equally long.
+    return list(zip(*[c for c in columns if c]))
 
 
 @dataclass(frozen=True)
@@ -128,35 +141,86 @@ class Lattice:
 
     # -- adjacency ----------------------------------------------------------
 
-    def _neighbor_candidates(self, v: Coord) -> list[Coord]:
-        i, j = v
-        if self.kind is LatticeKind.RECTANGULAR:
-            return [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
-        if self.kind is LatticeKind.TRIANGULAR:
-            return [(i + di, j + dj) for di, dj in AXIAL_OFFSETS]
-        # Hexagonal: horizontal always, one vertical chosen by parity.
-        vert = (i + 1, j) if (i + j) % 2 == 0 else (i - 1, j)
-        return [(i, j - 1), (i, j + 1), vert]
-
     @cached_property
     def compiled(self) -> CompiledGraph:
         """The graph as integer tables, built in one pass on first use."""
         order = self.vertices()
-        index = {v: t for t, v in enumerate(order)}
-        rows, cols = self.rows, self.cols
-        torus = self.torus
-        get = index.get
+        # One id list per row.  ``adj`` is built from slices of these lists,
+        # so each id in it is the int object stored in ``index`` (arithmetic
+        # would make a fresh int per entry), and no board-sized temporary is
+        # freed: that raises the C allocator's mmap threshold, and later large
+        # tables then stay resident after they are freed.
+        rows, start = [], 0
+        for i in range(1, self.rows + 1):
+            rows.append(list(range(start, start + self._row_width(i))))
+            start += len(rows[-1])
+        build = {
+            LatticeKind.RECTANGULAR: self._rect_adj,
+            LatticeKind.TRIANGULAR: self._tri_adj,
+            LatticeKind.HEXAGONAL: self._hex_adj,
+        }[self.kind]
+        return CompiledGraph(order, dict(zip(order, chain.from_iterable(rows))), build(rows))
+
+    # Each rule zips a row's tuples from shifted slices of the rows above,
+    # at and below it, in that order, which is ascending on a bounded board.
+
+    def _around(self, rows: list[list[int]]):
+        """(up, row, down) for each row of ids: wrapped on a torus, and an
+        empty list above the top and below the bottom of a bounded board."""
+        torus, last = self.torus, len(rows) - 1
+        for k, row in enumerate(rows):
+            up = rows[k - 1] if k or torus else []
+            down = rows[k + 1] if k < last else rows[0] if torus else []
+            yield up, row, down
+
+    def _sides(self, row: list[int]) -> tuple[list, list]:
+        """Each id's left and right neighbour in its row: wrapped on a torus,
+        None past the ends of a bounded row."""
+        if self.torus:
+            return row[-1:] + row[:-1], row[1:] + row[:1]
+        return [None, *row[:-1]], [*row[1:], None]
+
+    def _ascending(self, tuples: list[tuple]) -> list[tuple[int, ...]]:
+        """One row's neighbour tuples in ascending order."""
+        if self.torus:
+            return list(map(tuple, map(sorted, tuples)))
+        # Only a bounded row's end columns hold a None side neighbour.
+        for j in {0, len(tuples) - 1}:
+            tuples[j] = tuple(x for x in tuples[j] if x is not None)
+        return tuples
+
+    def _rect_adj(self, rows: list[list[int]]) -> list[tuple[int, ...]]:
         adj = []
-        for v in order:
-            candidates = self._neighbor_candidates(v)
-            # A torus wraps each candidate onto its vertex; the sizes checked
-            # in __post_init__ leave no repeated neighbour.
-            if torus:
-                candidates = [((i - 1) % rows + 1, (j - 1) % cols + 1) for i, j in candidates]
-            ids = [t for t in map(get, candidates) if t is not None]
-            ids.sort()
-            adj.append(tuple(ids))
-        return CompiledGraph(order, index, adj)
+        for up, row, down in self._around(rows):
+            adj += self._ascending(_zip_present(up, *self._sides(row), down))
+        return adj
+
+    def _tri_adj(self, rows: list[list[int]]) -> list[tuple[int, ...]]:
+        # Axial neighbours of (i, j), ascending: (i-1, j), (i-1, j+1),
+        # (i, j-1), (i, j+1), (i+1, j-1), (i+1, j).
+        adj = []
+        for up, row, down in self._around(rows):
+            if self.torus:
+                up_right, down_left = self._sides(up)[1], self._sides(down)[0]
+            else:
+                # A bounded patch's row above is one id longer than this one
+                # and the row below one shorter.
+                up_right, up, down_left, down = up[1:], up[: len(row)], [None, *down], [*down, None]
+            adj += self._ascending(_zip_present(up, up_right, *self._sides(row), down_left, down))
+        return adj
+
+    def _hex_adj(self, rows: list[list[int]]) -> list[tuple[int, ...]]:
+        adj = []
+        for i, (up, row, down) in enumerate(self._around(rows)):
+            left, right = self._sides(row)
+            # Columns j with i + j even (0-based, as 1-based) take the vertex
+            # below as third neighbour, the others the vertex above.
+            s = i % 2
+            tuples = [()] * len(row)
+            tuples[s::2] = _zip_present(left[s::2], right[s::2], down[s::2])
+            tuples[1 - s :: 2] = _zip_present(up[1 - s :: 2], left[1 - s :: 2], right[1 - s :: 2])
+            adj += self._ascending(tuples)
+        return adj
 
     def neighbors(self, v: Coord) -> tuple[Coord, ...]:
         """Adjacent vertices, sorted row-major; symmetric by construction."""

@@ -166,5 +166,8 @@ def report_to_json(report: DominationReport) -> dict:
         "weight_sum": report.weight_sum,
         "voids": [vertex_to_json(v) for v in report.voids],
         "conflicts": [vertex_to_json(v) for v in report.conflicts],
-        "coverage": [[vertex_to_json(v), c] for v, c in report.coverage.items()],
+        # A coordinate prints as its two ints; only pendants need vertex_to_json.
+        "coverage": [
+            [list(v) if type(v) is tuple else vertex_to_json(v), c] for v, c in report.coverage.items()
+        ],
     }

@@ -7,8 +7,11 @@ import json
 import random
 from collections import deque
 
-from effdom.lattice import AXIAL_OFFSETS, LatticeKind
+from effdom.lattice import LatticeKind
 from effdom.packing import normalize_set
+
+# Axial offsets of a triangular lattice's six neighbours.
+AXIAL_OFFSETS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
 
 
 def reference_neighbors(lattice, v):

@@ -707,12 +707,47 @@ def test_dumps_width_edges(kind):
             assert ("\n" in got) == (length > room)
 
 
+def _sized_int_item(length):
+    # A nested int-only item, [[0, ..., 10^k], 0], of ``length`` >= 8 characters.
+    return [_sized_list(length - 5), 0]
+
+
+def test_dumps_int_item_width_edges():
+    # A list too wide for one line puts each item on a line two spaces
+    # further in; an int-only item stays whole only when it fits that room.
+    for width in range(41):
+        pad = " " * width
+        room = 76 - width - 2
+        for length in (room, room + 1):
+            item = _sized_int_item(length)
+            assert len(json.dumps(item, separators=(", ", ": "))) == length
+            obj = [item, item]
+            got = _dumps(obj, pad)
+            assert got == reference_dumps(obj, pad)
+            assert (got.count("\n") == 3) == (length == room)
+
+
+@pytest.mark.parametrize("item", [[[True, 1], 0], [[1, [2, 3]], -4]])
+def test_dumps_nested_and_bool_items(item):
+    obj = [item] * 12
+    for value in (item, obj):
+        assert _dumps(value) == reference_dumps(value)
+    assert ("[[true, 1], 0]" in _dumps(obj)) == (item[0][0] is True)
+
+
 def test_dumps_real_payloads(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "knight", "--n", "40")
     outputs = [out]
     payload = json.loads(out)
     path = _write_set(tmp_path, "knight.json", payload["lattice"], payload["set"])
-    outputs.append(run(capsys, "augment", path)[1])
+    code, out, _ = run(capsys, "augment", path)
+    assert code == 0 and json.loads(out)["pendants"]
+    outputs.append(out)
+    # (1, 2) and (2, 2) are dominated non-members of the knight set.
+    crowded = _write_set(tmp_path, "crowded.json", payload["lattice"], payload["set"] + [[1, 2], [2, 2]])
+    code, out, _ = run(capsys, "verify", crowded)
+    assert code == 3 and json.loads(out)["report"]["conflicts"]
+    outputs.append(out)
     for kind in ("rect", "tri", "hex"):
         outputs.append(run(capsys, "motif", "--lattice", kind, "--window", "30x30")[1])
     for out in outputs:

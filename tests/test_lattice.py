@@ -257,6 +257,25 @@ COMPILE_CASES = [
     *[tri(m, n, torus=True) for m in range(3, 6) for n in range(3, 6)],
     *[hexa(m, n) for m in range(1, 5) for n in range(1, 7)],
     *[hexa(m, n, torus=True) for m in (4, 6) for n in (4, 6, 8)],
+    # Sizes the row-slice build can get wrong: one-column strips, the
+    # smallest tori with unequal sides, and boards of benchmark size.  The
+    # products above already hold rect:1x1, rect:2x2, tri:1 and tri:2.
+    *map(
+        Lattice.from_descriptor,
+        (
+            "rect:5x1",
+            "rect:7x1",
+            "rect-torus:7x4",
+            "rect-torus:3x7",
+            "tri-torus:3x7",
+            "hex:1x7",
+            "hex:5x1",
+            "hex-torus:4x10",
+            "rect:250x250",
+            "rect-torus:250x250",
+            "hex:200x200",
+        ),
+    ),
 ]
 
 
@@ -268,6 +287,22 @@ def test_compiled_adjacency_matches_reference(lat):
     for t, v in enumerate(graph.order):
         assert tuple(graph.order[s] for s in graph.adj[t]) == reference_neighbors(lat, v)
         assert list(graph.adj[t]) == sorted(graph.adj[t])
+
+
+# Ids past 256 are not CPython's cached small ints, so ``is`` tells a shared
+# id object from an equal fresh one.
+@pytest.mark.parametrize(
+    "lat",
+    [rect(20, 20), rect(20, 20, torus=True), tri(30), tri(20, 20, torus=True), hexa(20, 20), hexa(20, 20, torus=True)],
+    ids=Lattice.descriptor,
+)
+def test_compiled_ids_are_shared_int_objects(lat):
+    # One int object per id keeps the tables' memory flat on large boards.
+    graph = lat.compiled
+    ids = {t: t for t in graph.index.values()}
+    assert len(ids) == lat.vertex_count > 256
+    for neighbours in graph.adj:
+        assert all(s is ids[s] for s in neighbours)
 
 
 def test_compiled_form_is_built_once_per_instance():
