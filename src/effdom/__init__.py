@@ -8,7 +8,6 @@ from .constructions import (
     AugmentedLattice,
     KnightPattern,
     Pendant,
-    conjectured_F,
     eds_p4_p4,
     eds_pn_p2,
     fset_pn_p2_even,
@@ -64,7 +63,6 @@ __all__ = [
     "audit",
     "brute_force_F",
     "check_conjecture",
-    "conjectured_F",
     "dp_F_rect",
     "eds_p4_p4",
     "eds_pn_p2",

@@ -155,10 +155,6 @@ def lower_bound_F(n: int) -> int:
     return n * n - predicted_voids(n)
 
 
-# Conjectured exact F of the n x n grid: the lower bound itself.
-conjectured_F = lower_bound_F
-
-
 # -- knight construction ------------------------------------------------------
 
 

@@ -46,6 +46,22 @@ rebuilt by a right-to-left walk that recomputes one back-pointer per
 column, the full predecessor with the largest value and the smallest
 A, exactly the choice a sweep over all states would store, and are
 audited before returning.
+
+``check_conjecture`` sweeps only about half the columns
+(``_mirror_F_rect``).  A grid is left-right symmetric, so its columns
+k - 1..n read from right to left are columns 1..k2 of the same sweep,
+where k = (n + 2) // 2 and k2 = n - k + 2 (k2 = k for even n, k + 1 for
+odd n).  One sweep over columns 1..k2, each weighted as if a column lay
+to its right, gives both vectors, and F is the largest
+fwd_k[A, B] + fwd_k2[B, A] - w(A) - w(B) over the canonical pairs.  Both
+parts count the shared columns k - 1 and k, so their weights are taken
+off once; for n >= 4 both are interior, so w is the weight with a column
+on each side.  Columns k - 2 and k + 1 are three apart, so the join needs
+no other constraint.  The witness joins a walk from (A, B) over columns
+1..k with a mirrored walk from (B, A) over columns 1..k2 and is audited.
+``solve`` keeps the full sweep: the tests' reference sweep and the
+goldens pin its witness and ``explored``, and the mirror counts no
+``explored``.
 """
 
 from __future__ import annotations
@@ -54,7 +70,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from .constructions import conjectured_F
+from .constructions import lower_bound_F
 from .lattice import MAX_VERTICES, rect
 from .packing import Vertex, audit, normalize_set
 
@@ -146,17 +162,147 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
 # -- column-profile dynamic program -------------------------------------------
 
 
-def _spaced_masks(m: int) -> list[int]:
-    """Row subsets of a height-m column with pairwise gaps >= 3."""
-    return [
-        mask
-        for mask in range(1 << m)
-        if not (mask & (mask << 1)) and not (mask & (mask << 2))
-    ]
+def _spaced_masks(m: int, free: int) -> list[int]:
+    """Row subsets of free in a height-m column with pairwise gaps >= 3,
+    ascending."""
+    # Before row h is added, within[-1] lists the masks below row h.  A
+    # mask holding row h extends one below row h - 2 (within[-3]) and sorts
+    # after every mask below row h.
+    within = [[0], [0], [0]]
+    for h in range(m):
+        if free >> h & 1:
+            within.append(within[-1] + [M | 1 << h for M in within[-3]])
+        else:
+            within.append(within[-1])
+    return within[-1]
 
 
 def _bits(mask: int) -> list[int]:
     return [r for r in range(mask.bit_length()) if mask >> r & 1]
+
+
+class _Transfer:
+    """The column transfer of a height-m grid, shared by both sweeps.
+
+    ``masks`` are the spaced column masks and ``compat[B]`` the masks
+    allowed next to B, ascending.  ``slot_of[A][B]`` numbers the valid
+    pair (A, B) by its reflection orbit and ``canonical`` lists each
+    orbit's smaller pair in slot order.  ``steps`` holds, per middle mask
+    B, the slots of B's full predecessors (A, B) ascending in A, the A
+    themselves, and the C of every canonical target (B, C); the steps in
+    mask order list the targets in slot order.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        full = (1 << m) - 1
+        masks = self.masks = _spaced_masks(m, full)
+        self.rows_of = {M: _bits(M) for M in masks}
+        # Masks allowed in the next column: picked rows differ by >= 2.  The
+        # relation is symmetric, so compat[B] also lists the A that may
+        # precede B.
+        compat = self.compat = {
+            B: _spaced_masks(m, full & ~(B | B << 1 | B >> 1)) for B in masks
+        }
+
+        # Reflecting the rows maps (A, B) to (rev A, rev B) and keeps weights
+        # and compatibility, so both always hold the same value: the sweep
+        # keeps one slot per orbit.  Going through the valid pairs in sorted
+        # order numbers the slots by their canonical (smaller) pair, and a
+        # pair whose twin came first shares the twin's slot.  The twin
+        # (rev A, rev B) comes first for every B when rev A < A, for none
+        # when rev A > A, and when rev B < B if A is its own reflection.
+        rev = {A: int(f"{A:0{m}b}"[::-1], 2) for A in masks}
+        slot_of = self.slot_of = {}
+        canonical = self.canonical = []
+        targets = {}
+        for A in masks:
+            Bs = compat[A]
+            if rev[A] < A:
+                twin = slot_of[rev[A]]
+                slot_of[A] = dict(zip(Bs, map(twin.__getitem__, map(rev.__getitem__, Bs))))
+                continue
+            own = Bs if rev[A] > A else [B for B in Bs if B <= rev[B]]
+            start = len(canonical)
+            row = slot_of[A] = dict(zip(own, range(start, start + len(own))))
+            canonical.extend([(A, B) for B in own])
+            targets[A] = own
+            if rev[A] == A:
+                row.update((B, row[rev[B]]) for B in Bs if rev[B] < B)
+
+        self.steps = [
+            ([slot_of[A][B] for A in compat[B]], compat[B], Cs) for B, Cs in targets.items()
+        ]
+
+    def mask_weights(self, left: bool, right: bool) -> dict[int, int]:
+        """1 + degree summed over each mask's rows, given whether a column
+        lies left and right of it."""
+        m = self.m
+        per_row = [1 + (r > 0) + (r < m - 1) + left + right for r in range(m)]
+        return {C: sum(per_row[r] for r in rows) for C, rows in self.rows_of.items()}
+
+    def weights(self, left: bool, right: bool) -> list[list[int]]:
+        """The target weights of every step for one kind of column."""
+        cw = self.mask_weights(left, right)
+        return [[cw[C] for C in Cs] for _, _, Cs in self.steps]
+
+    def sweep(self, columns: list[list[list[int]]]) -> list[Any]:
+        """Slot values after each column, from the start state (0, 0).
+
+        ``columns[c - 1]`` holds the step weights of column c; entry c of
+        the result is one ``array('i')`` of the slot values after column c.
+        """
+        # Imported here, not at the top: loading the array extension adds
+        # about 0.2 MB of resident memory to every process, also those that
+        # never run the DP (oracle, audit and render commands).
+        from array import array
+
+        # Unreached states start far enough below zero to stay negative
+        # after every column's weights (each at most 5 per row), so no value
+        # built on one beats a reached state.  (0, 0) has slot 0.
+        val = [-1 - 5 * self.m * len(columns)] * len(self.canonical)
+        val[0] = 0
+        values = [array("i", val)]
+        steps = self.steps
+        for column in columns:
+            score = val.__getitem__
+            val = []
+            append = val.append
+            for (slots, As, Cs), ws in zip(steps, column):
+                # B's full predecessors, best first; each target (B, C)
+                # takes the first one whose A is disjoint from C (A = 0
+                # always is).
+                ranked = sorted(zip(map(score, slots), As), reverse=True)
+                for C, w in zip(Cs, ws):
+                    for v, A in ranked:
+                        if not A & C:
+                            append(v + w)
+                            break
+            values.append(array("i", val))
+        return values
+
+    def walk(self, values: list[Any], state: tuple[int, int]) -> list[int]:
+        """Column masks of an optimal path that ends in ``state`` after
+        column c = len(values) - 1, indexed by column (entry 0 is 0).
+
+        Walks right to left, recomputing one back-pointer per column: the
+        first full predecessor, in ascending A, with the largest value.
+        """
+        compat, slot_of = self.compat, self.slot_of
+        column_masks = [0] * len(values)
+        for c in range(len(values) - 1, 0, -1):
+            B, C = state
+            column_masks[c] = C
+            before = values[c - 1]
+            A = max((A for A in compat[B] if not A & C), key=lambda A: before[slot_of[A][B]])
+            state = A, B
+        return column_masks
+
+    def witness(self, column_masks: list[int]) -> tuple[Vertex, ...]:
+        rows_of = self.rows_of
+        return normalize_set(
+            (r + 1, c) for c, C in enumerate(column_masks) for r in rows_of[C]
+        )
 
 
 def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveResult:
@@ -168,44 +314,16 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
             f"{rows} rows exceeds the DP width limit {width_limit}; "
             "swap the dimensions (F is transpose-invariant) or raise the limit"
         )
-    # Imported here, not at the top: loading the array extension adds about
-    # 0.2 MB of resident memory to every process, also those that never run
-    # the DP (oracle, audit and render commands).
-    from array import array
-
     m, n = rows, cols
     t0 = time.perf_counter()
-
-    masks = _spaced_masks(m)
-    rows_of = {M: _bits(M) for M in masks}
-    full = (1 << m) - 1
-    # Masks allowed in the next column: picked rows differ by >= 2.  The
-    # relation is symmetric, so compat[B] also lists the A that may precede B.
-    near = {B: (B | (B << 1) | (B >> 1)) & full for B in masks}
-    compat = {B: [C for C in masks if not C & blocked] for B, blocked in near.items()}
-
-    # Reflecting the rows maps (A, B) to (rev A, rev B) and keeps weights and
-    # compatibility, so both always hold the same value: the sweep keeps one
-    # slot per orbit.  Going through the valid pairs in sorted order numbers
-    # the slots by their canonical (smaller) pair, and a pair whose twin came
-    # first shares the twin's slot.
-    rev = {A: int(f"{A:0{m}b}"[::-1], 2) for A in masks}
-    slot: dict[tuple[int, int], int] = {}
-    canonical: list[tuple[int, int]] = []
-    for A in masks:
-        for B in compat[A]:
-            twin = (rev[A], rev[B])
-            if twin in slot:
-                slot[A, B] = slot[twin]
-            else:
-                slot[A, B] = len(canonical)
-                canonical.append((A, B))
+    transfer = _Transfer(m)
+    masks, compat, rows_of = transfer.masks, transfer.compat, transfer.rows_of
 
     # Column 1 leaves (0, 0) for every (0, C) and column 2 leaves each (0, B)
     # for every (B, C), so every later column leaves every state (A, B) for
     # the (B, C) with A & C == 0.  by_row[r] marks, as bits over compat[B],
     # the C holding row r; the OR over A's rows marks the C that A excludes.
-    explored = len(masks) + (n > 1) * len(slot)
+    explored = len(masks) + (n > 1) * sum(map(len, compat.values()))
     if n > 2:
         triples = 0
         for Cs in compat.values():
@@ -220,69 +338,58 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
                 triples += len(Cs) - excluded.bit_count()
         explored += (n - 2) * triples
 
-    # Each column goes through each middle mask B once.  A step holds the
-    # slots of B's full predecessors (A, B), ascending in A, and the C of
-    # every canonical target (B, C); the steps in mask order list the
-    # targets in slot order.
-    steps = []
-    for B, As in compat.items():
-        Cs = [C for C in As if (B, C) <= (rev[B], rev[C])]
-        if Cs:
-            steps.append(([slot[A, B] for A in As], As, Cs))
-
-    def weights_for(left: bool, right: bool) -> list[list[int]]:
-        # 1 + degree per row, given whether a column lies left and right.
-        per_row = [1 + (r > 0) + (r < m - 1) + left + right for r in range(m)]
-        cw = {C: sum(per_row[r] for r in rows_of[C]) for C in masks}
-        return [[cw[C] for C in Cs] for _, _, Cs in steps]
-
     # Columns 1, 2 and n meet every (left, right) the sweep needs.
-    column_weights = {key: weights_for(*key) for key in {(c > 1, c < n) for c in (1, min(2, n), n)}}
-
-    # Unreached states start far enough below zero to stay negative after
-    # n columns of weights (each at most 5 per row), so no value built on
-    # one beats a reached state.  The start state (0, 0) has slot 0.
-    val = [-1 - 5 * m * n] * len(canonical)
-    val[0] = 0
-    # values[c] holds the slot values after column c.
-    values = [array("i", val)]
-    for c in range(1, n + 1):
-        score = val.__getitem__
-        val = []
-        append = val.append
-        for (slots, As, Cs), ws in zip(steps, column_weights[c > 1, c < n]):
-            # B's full predecessors, best first; each target (B, C) takes
-            # the first one whose A is disjoint from C (A = 0 always is).
-            ranked = sorted(zip(map(score, slots), As), reverse=True)
-            for C, w in zip(Cs, ws):
-                for v, A in ranked:
-                    if not A & C:
-                        append(v + w)
-                        break
-        values.append(array("i", val))
-
-    best_value = max(val)
+    kinds = {key: transfer.weights(*key) for key in {(c > 1, c < n) for c in (1, min(2, n), n)}}
+    values = transfer.sweep([kinds[c > 1, c < n] for c in range(1, n + 1)])
+    last = values[n]
+    best_value = max(last)
     # The canonical pair is the smaller of its orbit, so the first maximal
     # slot holds the first maximal pair in sorted order.
-    state = canonical[val.index(best_value)]
-
-    # Walk right to left, recomputing one back-pointer per column: the first
-    # full predecessor, in ascending A, with the largest value.
-    column_masks = [0] * (n + 1)
-    for c in range(n, 0, -1):
-        B, C = state
-        column_masks[c] = C
-        before = values[c - 1]
-        state = max(((A, B) for A in compat[B] if not A & C), key=lambda s: before[slot[s]])
-    witness = normalize_set(
-        (r + 1, c) for c in range(1, n + 1) for r in rows_of[column_masks[c]]
-    )
+    state = transfer.canonical[last.index(best_value)]
+    witness = transfer.witness(transfer.walk(values, state))
     elapsed = time.perf_counter() - t0
 
     report = audit(rect(m, n), witness)
     if not report.is_two_packing or report.influence != best_value:
         raise AssertionError("DP witness failed its audit")
     return SolveResult(f_value=best_value, witness=witness, explored=explored, elapsed=elapsed)
+
+
+def _mirror_F_rect(rows: int, cols: int) -> tuple[int, tuple[Vertex, ...]]:
+    """Exact F and an audited witness of the bounded rows x cols grid,
+    cols >= 4, from a sweep over about half the columns."""
+    if cols < 4:
+        # Below 4 columns a shared middle column lies on the boundary.
+        raise ValueError(f"the mirror sweep needs at least 4 columns, got {cols}")
+    m, n = rows, cols
+    transfer = _Transfer(m)
+    canonical, slot_of = transfer.canonical, transfer.slot_of
+    # The left part is columns 1..k; the right part, columns k - 1..n read
+    # from right to left, is columns 1..k2 of the same sweep.  Every swept
+    # column has a column to its right.
+    k = (n + 2) // 2
+    k2 = n - k + 2
+    inner = transfer.weights(True, True)
+    values = transfer.sweep([transfer.weights(False, True)] + [inner] * (k2 - 1))
+    # Both parts count the shared columns k - 1 and k, which are interior.
+    shared = transfer.mask_weights(True, True)
+    fwd, bwd = values[k], values[k2]
+    joined = [
+        fwd[s] + bwd[slot_of[B][A]] - shared[A] - shared[B] for s, (A, B) in enumerate(canonical)
+    ]
+    best_value = max(joined)
+    A, B = canonical[joined.index(best_value)]
+
+    # The left walk gives columns 0..k; the right walk, reversed, gives
+    # columns k - 1..n, so the left's last two columns are dropped.
+    left = transfer.walk(values[: k + 1], (A, B))
+    right = transfer.walk(values[: k2 + 1], (B, A))
+    witness = transfer.witness(left[: k - 1] + right[:0:-1])
+
+    report = audit(rect(m, n), witness)
+    if not report.is_two_packing or report.influence != best_value:
+        raise AssertionError("mirror DP witness failed its audit")
+    return best_value, witness
 
 
 # -- conjecture table ---------------------------------------------------------
@@ -299,14 +406,16 @@ class ConjectureRow:
 def check_conjecture(
     lo: int, hi: int, width_limit: int = DP_WIDTH_LIMIT
 ) -> list[ConjectureRow]:
-    """Compare the DP value of each n x n grid against the conjectured F.
+    """Compare the DP value of each n x n grid against the conjectured F,
+    the bound ``lower_bound_F(n)``.
 
-    Squares wider than the DP limit are reported with ``dp_value=None``
-    (unverified), never guessed.  The same rows give the void view:
-    n^2 - conjectured is the predicted void count and n^2 - dp_value the
-    exact one, so ``matches`` holds in both views at once.  A range whose
-    largest square has more than ``MAX_VERTICES`` vertices is rejected
-    before any square is solved.
+    The DP value comes from the half-column mirror sweep and is backed by
+    an audited witness.  Squares wider than the DP limit are reported with
+    ``dp_value=None`` (unverified), never guessed.  The same rows give the
+    void view: n^2 - conjectured is the predicted void count and
+    n^2 - dp_value the exact one, so ``matches`` holds in both views at
+    once.  A range whose largest square has more than ``MAX_VERTICES``
+    vertices is rejected before any square is solved.
     """
     if hi > 0 and hi * hi > MAX_VERTICES:
         raise ValueError(
@@ -314,9 +423,9 @@ def check_conjecture(
         )
     rows = []
     for n in range(lo, hi + 1):
-        target = conjectured_F(n)
+        target = lower_bound_F(n)
         if n <= width_limit:
-            value = dp_F_rect(n, n, width_limit=width_limit).f_value
+            value = _mirror_F_rect(n, n)[0]
             rows.append(ConjectureRow(n, target, value, value == target))
         else:
             rows.append(ConjectureRow(n, target, None, None))

@@ -12,7 +12,6 @@ from effdom import (
     audit,
     brute_force_F,
     check_conjecture,
-    conjectured_F,
     dp_F_rect,
     eds_pn_p2,
     fset_pn_p2_even,
@@ -117,7 +116,7 @@ def test_criterion_6_conjecture_desk_scale():
     def body():
         rows = check_conjecture(7, 13)
         for row in rows:
-            assert row.dp_value == row.conjectured == conjectured_F(row.n), row
+            assert row.dp_value == row.conjectured == lower_bound_F(row.n), row
 
     _criterion(6, "conjectured F(n x n) confirmed exactly by DP for 7 <= n <= 13", 600, body)
 

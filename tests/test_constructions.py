@@ -4,7 +4,6 @@ from conftest import reference_knight
 from effdom.constructions import (
     AugmentedLattice,
     Pendant,
-    conjectured_F,
     eds_p4_p4,
     eds_pn_p2,
     fset_pn_p2_even,
@@ -145,20 +144,16 @@ def test_void_difference_oscillation():
 )
 def test_bound_values(n, expected):
     assert lower_bound_F(n) == expected
-    assert conjectured_F(n) == expected
 
 
 def test_bounds_equal_square_minus_voids():
     for n in range(7, 61):
         assert lower_bound_F(n) == n * n - predicted_voids(n)
-        assert conjectured_F(n) == lower_bound_F(n)
 
 
-# conjectured_F is lower_bound_F under a second name, so the ids are spelled out.
+# pytest would number function parameters (func0, func1), so the ids are spelled out.
 @pytest.mark.parametrize(
-    "func",
-    [predicted_voids, lower_bound_F, conjectured_F],
-    ids=["predicted_voids", "lower_bound_F", "conjectured_F"],
+    "func", [predicted_voids, lower_bound_F], ids=["predicted_voids", "lower_bound_F"]
 )
 def test_bounds_domain(func):
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from effdom.lattice import Lattice, hexa, rect, tri
 from effdom.packing import audit
 from effdom.solver import (
     ConjectureRow,
+    _mirror_F_rect,
     brute_force_F,
     check_conjecture,
     dp_F_rect,
@@ -198,8 +199,16 @@ def test_dp_deterministic():
     + [(16, 1), (16, 2), (16, 3), (16, 5), (12, 1), (12, 2)],
 )
 def test_dp_matches_reference_sweep(m, n):
+    expected = reference_dp_rect(m, n)
     result = dp_F_rect(m, n)
-    assert (result.f_value, result.witness, result.explored) == reference_dp_rect(m, n)
+    assert (result.f_value, result.witness, result.explored) == expected
+    if n >= 4:
+        # The half-column mirror sweep of check_conjecture: same F, and a
+        # witness of its own that audits to it.
+        value, witness = _mirror_F_rect(m, n)
+        report = audit(rect(m, n), witness)
+        assert value == expected[0]
+        assert report.is_two_packing and report.influence == value
 
 
 def test_dp_full_height_square():
@@ -226,6 +235,11 @@ def test_check_conjecture_desk_range():
         ConjectureRow(9, 77, 77, True),
         ConjectureRow(10, 92, 92, True),
     ]
+
+
+def test_check_conjecture_past_default_width():
+    # 17 is odd, so the mirror joins the vectors after columns 9 and 10.
+    assert check_conjecture(17, 17, width_limit=17) == [ConjectureRow(17, 276, 276, True)]
 
 
 def test_check_conjecture_skips_beyond_width():
