@@ -3,10 +3,12 @@
 Subcommands: construct, verify, solve, table, conjecture, motif, augment,
 render.  Primary output is deterministic JSON on stdout, with no timing
 data (timings go to stderr).  Layout: keys sorted, ", " and ": " as
-separators, and a list or object kept on one line when that line fits in
-76 columns after its indent; otherwise each item gets its own line,
-indented two more spaces.  ``render --format svg`` is written row by row
-as it is drawn.
+separators, and an array (a list or a tuple, as in the ``json`` module) or
+object kept on one line when that line fits in 76 columns after its
+indent; otherwise each item gets its own line, indented two more spaces.
+The two array shapes printed in bulk, a coordinate ``[i, j]`` and a
+coverage pair ``[[i, j], c]``, are formatted directly.  ``render --format
+svg`` is written row by row as it is drawn.
 
 Exit codes: 0 success (for ``verify``: the set is an efficient dominating
 set), 1 a valid 2-packing that leaves voids (or a construction whose
@@ -46,11 +48,25 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 
 
 def _int_list_line(obj) -> str | None:
-    # The one-line form of a list that nests only exact ints and lists, in
-    # one pass; None for any other value.  ``type(x) is int`` leaves bools,
-    # an int subclass, to the encoder, which prints them as true/false.
-    if type(obj) is not list:
+    """The one-line form of an array (a list or a tuple) that nests only
+    exact ints and arrays; None for any other value.
+
+    The two shapes printed in bulk are formatted directly: a pair of ints
+    (a coordinate) and a pair of (pair of ints, int) (a coverage item);
+    any other array goes through the item loop.  ``type(x) is int`` leaves
+    bools, an int subclass, to the encoder, which prints them as true/false.
+    """
+    if type(obj) is not list and type(obj) is not tuple:
         return None
+    if len(obj) == 2:
+        a, c = obj
+        if type(c) is int:
+            if type(a) is int:
+                return f"[{a}, {c}]"
+            if (type(a) is tuple or type(a) is list) and len(a) == 2:
+                i, j = a
+                if type(i) is int and type(j) is int:
+                    return f"[[{i}, {j}], {c}]"
     parts = []
     for x in obj:
         part = str(x) if type(x) is int else _int_list_line(x)
@@ -68,11 +84,11 @@ def _one_line(obj) -> str:
 
 
 def _least_width(obj) -> int:
-    # Fewest characters a one-line form can take: a list of n items needs
+    # Fewest characters a one-line form can take: an array of n items needs
     # 3n (one each, ", " between, brackets), an object of n keys 7n.
     if isinstance(obj, dict):
         return 7 * len(obj)
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return 3 * len(obj)
     return 1
 
@@ -80,18 +96,20 @@ def _least_width(obj) -> int:
 def _dumps(obj, pad: str = "") -> str:
     """``obj`` in the module's JSON layout, as if it started after ``pad``.
 
-    A container is encoded for the one-line test only when its least width
-    fits; an object, which the encoder writes in one piece, must also fit
-    with each value at its own least width (a key takes at least six
-    characters besides its value).  Otherwise it is laid out item by item
-    without being encoded.  There, an item that nests only ints and lists
-    (a coordinate ``[i, j]``, a coverage pair ``[[i, j], c]``) is written in
-    one pass by ``_int_list_line`` and kept when it fits its line; any
-    other item, or one too wide, is laid out by ``_dumps`` in turn.
+    An array may be a list or a tuple.  A container is encoded for the
+    one-line test only when its least width fits; an object, which the
+    encoder writes in one piece, must also fit with each value at its own
+    least width (a key takes at least six characters besides its value).
+    Otherwise it is laid out item by item without being encoded.  There,
+    each item of an array is first written by ``_int_list_line``, which
+    formats a coordinate ``[i, j]`` or a coverage pair ``[[i, j], c]``
+    directly; the common case, every item int-only and fitting its line,
+    is checked for the whole array at once.  Any other item, or one too
+    wide, is laid out by ``_dumps`` in turn.
     """
     room = WIDTH - len(pad)
     is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, list)):
+    if not (is_dict or isinstance(obj, (list, tuple))):
         return _one_line(obj)
     fits = _least_width(obj) <= room
     if fits and is_dict:
@@ -105,13 +123,14 @@ def _dumps(obj, pad: str = "") -> str:
         items = [f"{inner}{_encode(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     room -= 2  # an item's line starts two spaces further in
-    items = []
-    for v in obj:
-        line = _int_list_line(v)
-        if line is None or len(line) > room:
-            line = _dumps(v, inner)
-        items.append(inner + line)
-    return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    lines = list(map(_int_list_line, obj))
+    if None in lines or max(map(len, lines), default=0) > room:
+        lines = [
+            _dumps(v, inner) if line is None or len(line) > room else line
+            for v, line in zip(obj, lines)
+        ]
+    body = inner + (",\n" + inner).join(lines) if lines else ""
+    return f"[\n{body}\n{pad}]"
 
 
 def _emit(obj) -> None:

@@ -68,17 +68,20 @@ def audit(graph: Any, members: Iterable[Vertex]) -> DominationReport:
     """Count dominators per vertex and classify the candidate set."""
     compiled = graph.compiled
     index = compiled.index
-    canon = normalize_set(members)
-    for v in canon:
-        if v not in index:
-            if isinstance(graph, Lattice) and isinstance(v, tuple):
-                graph.require(v)  # raises InvalidCoordError naming the coord
-            raise ValueError(f"{v!r} is not a vertex of the given graph")
+    # Members are deduplicated and ordered by id, not sorted as vertices;
+    # ids in ascending order sweep the tables row by row.  Only an error
+    # sorts vertices: it names the first foreign member in row-major order.
+    members = tuple(members)
+    ids = set(map(index.get, members))
+    if None in ids:
+        v = normalize_set(v for v in members if v not in index)[0]
+        if isinstance(graph, Lattice) and isinstance(v, tuple):
+            graph.require(v)  # raises InvalidCoordError naming the coord
+        raise ValueError(f"{v!r} is not a vertex of the given graph")
 
     counts = [0] * len(compiled.order)
     weight_sum = 0
-    for v in canon:
-        t = index[v]
+    for t in sorted(ids):
         counts[t] += 1
         neighbours = compiled.adj[t]
         weight_sum += 1 + len(neighbours)
@@ -134,13 +137,6 @@ def vertex_to_json(v: Vertex) -> Any:
     raise TypeError(f"cannot serialize vertex {v!r}")
 
 
-def set_to_json(lattice: Lattice, members: Iterable[Coord]) -> dict:
-    return {
-        "lattice": lattice.descriptor(),
-        "set": [vertex_to_json(v) for v in normalize_set(members)],
-    }
-
-
 def set_from_json(obj: dict) -> tuple[Lattice, tuple[Coord, ...]]:
     if not isinstance(obj, dict) or "lattice" not in obj or "set" not in obj:
         raise ValueError('expected an object with "lattice" and "set" fields')
@@ -151,7 +147,9 @@ def set_from_json(obj: dict) -> tuple[Lattice, tuple[Coord, ...]]:
     lattice = Lattice.from_descriptor(obj["lattice"])
     members = []
     for entry in obj["set"]:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(type(x) is int for x in entry)):
+        if not (
+            isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is int and type(entry[1]) is int
+        ):
             raise ValueError(f"set entries must be [i, j] pairs, got {entry!r}")
         members.append((entry[0], entry[1]))
     return lattice, normalize_set(members)
@@ -166,8 +164,10 @@ def report_to_json(report: DominationReport) -> dict:
         "weight_sum": report.weight_sum,
         "voids": [vertex_to_json(v) for v in report.voids],
         "conflicts": [vertex_to_json(v) for v in report.conflicts],
-        # A coordinate prints as its two ints; only pendants need vertex_to_json.
+        # Coverage pairs are (vertex, count) tuples, which encode as arrays.  A
+        # coordinate stays the tuple it is; only pendants need vertex_to_json.
         "coverage": [
-            [list(v) if type(v) is tuple else vertex_to_json(v), c] for v, c in report.coverage.items()
+            item if type(item[0]) is tuple else (vertex_to_json(item[0]), item[1])
+            for item in report.coverage.items()
         ],
     }

@@ -252,7 +252,8 @@ def reference_dumps(obj, pad: str = "") -> str:
     """Deterministic JSON: sorted keys, short collections kept on one line.
 
     The CLI printer as it was before the one-pass rewrite: it encodes every
-    subtree at every depth.  Kept as the oracle for ``effdom.cli._dumps``."""
+    subtree at every depth.  A tuple is an array, as in ``json``.  Kept as
+    the oracle for ``effdom.cli._dumps``."""
     one_line = json.dumps(obj, sort_keys=True, separators=(", ", ": "))
     if len(one_line) + len(pad) <= 76:
         return one_line
@@ -260,7 +261,7 @@ def reference_dumps(obj, pad: str = "") -> str:
     if isinstance(obj, dict):
         items = [f"{inner}{json.dumps(k)}: {reference_dumps(obj[k], inner)}" for k in sorted(obj)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         items = [f"{inner}{reference_dumps(v, inner)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     return one_line

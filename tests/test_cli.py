@@ -656,7 +656,9 @@ _json_trees = st.recursive(
     | st.integers(-9, 9)
     | st.floats()
     | st.text(max_size=12),
-    lambda children: st.lists(children, max_size=8) | st.dictionaries(st.text(max_size=6), children, max_size=6),
+    lambda children: st.lists(children, max_size=8)
+    | st.lists(children, max_size=8).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=6),
     max_leaves=60,
 )
 
@@ -712,27 +714,54 @@ def _sized_int_item(length):
     return [_sized_list(length - 5), 0]
 
 
+def _deep_tuple(value):
+    # The same JSON value with every list a tuple.
+    return tuple(map(_deep_tuple, value)) if isinstance(value, list) else value
+
+
 def test_dumps_int_item_width_edges():
     # A list too wide for one line puts each item on a line two spaces
     # further in; an int-only item stays whole only when it fits that room.
+    # Besides a longer item, a coverage pair [[i, j], c], a pair [i, j] and
+    # a one-item array, each as lists and as tuples.
     for width in range(41):
         pad = " " * width
         room = 76 - width - 2
         for length in (room, room + 1):
-            item = _sized_int_item(length)
-            assert len(json.dumps(item, separators=(", ", ": "))) == length
-            obj = [item, item]
-            got = _dumps(obj, pad)
-            assert got == reference_dumps(obj, pad)
-            assert (got.count("\n") == 3) == (length == room)
+            items = [
+                _sized_int_item(length),
+                [[1, 10 ** (length - 11)], 2],
+                [10 ** (length - 6), 3],
+                [10 ** (length - 3)],
+            ]
+            for item in items + list(map(_deep_tuple, items)):
+                assert len(json.dumps(item, separators=(", ", ": "))) == length
+                obj = [item, item]
+                got = _dumps(obj, pad)
+                assert got == reference_dumps(obj, pad)
+                assert (got.count("\n") == 3) == (length == room)
 
 
 @pytest.mark.parametrize("item", [[[True, 1], 0], [[1, [2, 3]], -4]])
 def test_dumps_nested_and_bool_items(item):
-    obj = [item] * 12
-    for value in (item, obj):
-        assert _dumps(value) == reference_dumps(value)
-    assert ("[[true, 1], 0]" in _dumps(obj)) == (item[0][0] is True)
+    for item in (item, _deep_tuple(item)):
+        obj = [item] * 12
+        for value in (item, obj):
+            assert _dumps(value) == reference_dumps(value)
+        assert ("[[true, 1], 0]" in _dumps(obj)) == (item[0][0] is True)
+
+
+def test_dumps_tuple_items():
+    assert _dumps((5,)) == "[5]"
+    assert _dumps(((True, 1), 0)) == "[[true, 1], 0]"
+    # ((1, 2), 3) takes 11 characters: alone and as a list item, it stays on
+    # one line at room 11 and is broken up at room 10.
+    item = ((1, 2), 3)
+    for room in (11, 10):
+        for obj, pad in ((item, " " * (76 - room)), ([item] * 12, " " * (74 - room))):
+            got = _dumps(obj, pad)
+            assert got == reference_dumps(obj, pad)
+            assert ("[[1, 2], 3]" in got) == (room == 11)
 
 
 def test_dumps_real_payloads(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import greedy_random_packing, pairwise_distances_ok
-from effdom.constructions import Pendant, eds_p4_p4
+from effdom.constructions import Pendant, eds_p4_p4, near_grid_augment
 from effdom.lattice import InvalidCoordError, hexa, rect, tri
 from effdom.packing import (
     _sort_key,
@@ -16,8 +17,8 @@ from effdom.packing import (
     normalize_set,
     report_to_json,
     set_from_json,
-    set_to_json,
     transpose_set,
+    vertex_to_json,
 )
 
 
@@ -47,6 +48,17 @@ def test_audit_distance_two_conflict():
 def test_audit_rejects_foreign_coords():
     with pytest.raises(InvalidCoordError, match=r"\(5, 1\)"):
         audit(rect(3, 3), [(5, 1)])
+
+
+def test_audit_names_first_foreign_vertex_in_row_major_order():
+    # Counting ignores order, but the error still names the smallest
+    # foreign member, here given last.
+    with pytest.raises(InvalidCoordError, match=r"\(4, 2\)"):
+        audit(rect(3, 3), [(5, 1), (4, 2), (1, 1)])
+    augmented, eds = near_grid_augment(rect(3, 3), ((1, 1), (3, 2)))
+    foreign = Pendant(index=len(augmented.pendants), anchor=(2, 2))
+    with pytest.raises(ValueError, match=r"^\(4, 2\) is not a vertex"):
+        audit(augmented, (foreign, (5, 1), (4, 2)) + eds)
 
 
 def test_is_two_packing_examples():
@@ -195,12 +207,9 @@ def test_coverage_counts_every_vertex_once():
 
 
 def test_set_json_round_trip():
-    lat = rect(3, 4)
-    members = ((1, 1), (2, 4), (3, 2))
-    obj = set_to_json(lat, members)
-    assert obj == {"lattice": "rect:3x4", "set": [[1, 1], [2, 4], [3, 2]]}
+    obj = {"lattice": "rect:3x4", "set": [[1, 1], [2, 4], [3, 2]]}
     back_lat, back_members = set_from_json(obj)
-    assert back_lat == lat and back_members == members
+    assert back_lat == rect(3, 4) and back_members == ((1, 1), (2, 4), (3, 2))
 
 
 @pytest.mark.parametrize(
@@ -211,6 +220,10 @@ def test_set_json_round_trip():
         {"lattice": "rect:3x3", "set": [[1]]},
         {"lattice": "rect:3x3", "set": ["ab"]},
         {"lattice": "nope:3x3", "set": []},
+        {"lattice": "rect:3x3", "set": [[1, True]]},
+        {"lattice": "rect:3x3", "set": [[1.0, 1]]},
+        {"lattice": "rect:3x3", "set": [[1, 2, 3]]},
+        {"lattice": "rect:3x3", "set": [(1, 2)]},
     ],
 )
 def test_set_from_json_rejects_malformed(obj):
@@ -226,4 +239,20 @@ def test_report_json_mirrors_fields():
     assert obj["influence"] == 7
     assert obj["voids"] == [[1, 3], [2, 3]]
     assert obj["conflicts"] == []
-    assert [[1, 1], 1] in obj["coverage"]
+    assert [[1, 1], 1] in json.loads(json.dumps(obj))["coverage"]
+    # Coverage items are tuples; re-encoded, a report with pendants is the
+    # all-list form with each vertex through vertex_to_json.
+    augmented, eds = near_grid_augment(rect(3, 3), ((1, 1), (3, 2)))
+    report = audit(augmented, eds)
+    listed = {
+        "is_two_packing": True,
+        "is_eds": True,
+        "influence": 11,
+        "dominated_count": 11,
+        "weight_sum": 11,
+        "voids": [],
+        "conflicts": [],
+        "coverage": [[vertex_to_json(v), c] for v, c in report.coverage.items()],
+    }
+    assert {"pendant": 1, "attached_to": [2, 3]} in [v for v, _ in listed["coverage"]]
+    assert json.loads(json.dumps(report_to_json(report))) == listed
