@@ -22,8 +22,6 @@ from .lattice import Coord, InvalidCoordError, Lattice, LatticeKind, hexa, rect,
 from .packing import (
     DominationReport,
     audit,
-    influence,
-    is_two_packing,
     normalize_set,
     transpose_set,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "fset_square_small",
     "hex_code_motif",
     "hexa",
-    "influence",
-    "is_two_packing",
     "knight_construction",
     "lower_bound_F",
     "near_grid_augment",

@@ -172,9 +172,10 @@ def _load_set_file(path: str) -> tuple[Lattice, tuple]:
 
 
 def _audited_set(lattice: Lattice, members, report: DominationReport) -> dict:
+    # Coordinate tuples print as arrays as they are; no list per member.
     return {
         "lattice": lattice.descriptor(),
-        "set": [vertex_to_json(v) for v in members],
+        "set": members,
         "report": report_to_json(report),
     }
 
@@ -261,7 +262,7 @@ def cmd_solve(args) -> int:
         {
             "lattice": lattice.descriptor(),
             "F": result.f_value,
-            "witness": [vertex_to_json(v) for v in result.witness],
+            "witness": result.witness,
             "explored": result.explored,
         }
     )
@@ -334,7 +335,7 @@ def cmd_motif(args) -> int:
     payload = {
         "kind": motif.kind.value,
         "periods": list(motif.periods),
-        "cells": [vertex_to_json(v) for v in motif.cells],
+        "cells": motif.cells,
         "density": motif.density,
         "perfect": report.is_eds,
         "report": report_to_json(report),
@@ -343,7 +344,7 @@ def cmd_motif(args) -> int:
     if args.window:
         window_report = audit(window, expansion)
         payload["window"] = window.descriptor()
-        payload["expansion"] = [vertex_to_json(v) for v in expansion]
+        payload["expansion"] = expansion
         payload["window_report"] = report_to_json(window_report)
         board = (window, expansion, window_report)
     if args.format == "json":
@@ -363,10 +364,11 @@ def cmd_augment(args) -> int:
     _emit(
         {
             "base_lattice": lattice.descriptor(),
-            "set": [vertex_to_json(v) for v in members],
+            "set": members,
             "pendants": [p.to_json() for p in augmented.pendants],
             "vertex_count": augmented.vertex_count,
-            "eds": [vertex_to_json(v) for v in eds],
+            # Only the pendants need vertex_to_json; coordinates stay tuples.
+            "eds": [v if type(v) is tuple else vertex_to_json(v) for v in eds],
             "report": report_to_json(report),
         }
     )

@@ -108,18 +108,6 @@ def audit(graph: Any, members: Iterable[Vertex]) -> DominationReport:
     )
 
 
-def is_two_packing(graph: Any, members: Iterable[Vertex]) -> bool:
-    return audit(graph, members).is_two_packing
-
-
-def influence(graph: Any, members: Iterable[Vertex]) -> int:
-    """Influence of a 2-packing; refuses sets with overlapping neighbourhoods."""
-    report = audit(graph, members)
-    if not report.is_two_packing:
-        raise ValueError(f"influence is defined for 2-packings only; conflicts at {report.conflicts}")
-    return report.influence
-
-
 def transpose_set(members: Iterable[Coord]) -> tuple[Coord, ...]:
     """Mirror a coordinate set across the main diagonal: (i, j) -> (j, i)."""
     return normalize_set((j, i) for i, j in members)

@@ -7,7 +7,14 @@ the search keeps the covered and chosen vertices as two ints.  It runs
 as one loop without recursion: the loop walks the include-first spine
 inline and keeps only the pending skip branches on an explicit stack,
 so nodes are entered in the same order as the plain recursive search.
-Its ``explored`` counts the search nodes entered.
+A node at vertex t is cut unless its value plus the number of vertices
+that are still uncovered and lie in some later closed neighbourhood
+beats the best value so far.  The bound is admissible: the closed
+neighbourhoods of later includes are disjoint, uncovered and inside that
+set, and each adds its size.  So only branches that cannot strictly beat
+the best are cut, the first optimum in include-first preorder is still
+entered, and F and the witness are those of the plain search without
+cuts.  Its ``explored`` counts the search nodes entered under this bound.
 
 ``dp_F_rect`` sweeps a bounded rectangular grid column by column with a
 two-column bitmask profile:
@@ -92,9 +99,14 @@ class SolveResult:
 def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     """Exact F by depth-first search over vertices in row-major order.
 
-    Prunes any branch whose optimistic completion cannot beat the best
-    influence found so far; the witness is the first optimum reached,
-    which the include-before-skip order makes deterministic.
+    A node at vertex t is cut when its value plus the count of vertices
+    that are uncovered and lie in some closed neighbourhood of a vertex
+    >= t cannot beat the best influence found so far.  Later includes
+    dominate disjoint sets of such vertices, so the count bounds what the
+    branch can still add, and no branch holding a strictly better set is
+    cut.  The witness is therefore the first optimum in include-before-skip
+    preorder, as without any cut, and ``explored`` counts the nodes entered
+    under this bound.
     """
     count = graph.vertex_count
     if count > limit:
@@ -112,9 +124,11 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
         for s in neighbours:
             mask |= 1 << s
         closed.append(mask)
-    suffix = [0] * (count + 1)
+    # reach[t] is the OR of closed[s] for s >= t: every vertex that some
+    # later include could still dominate.
+    reach = [0] * (count + 1)
     for t in range(count - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + weights[t]
+        reach[t] = reach[t + 1] | closed[t]
 
     t0 = time.perf_counter()
 
@@ -130,11 +144,11 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
         t, value, covered, chosen = pop()
         # Walk the include-first spine: the popped node and each step to
         # t + 1 enter one node, so the walk enters 1 + (final t - popped t)
-        # nodes.  A failed loop test prunes the node just entered;
-        # value + suffix[count] never exceeds best_value, so the spine also
-        # ends after the last vertex.
+        # nodes.  A failed loop test prunes the node just entered; reach[count]
+        # is 0 and value never exceeds best_value, so the spine also ends
+        # after the last vertex.
         explored += 1 - t
-        while value + suffix[t] > best_value:
+        while value + (reach[t] & ~covered).bit_count() > best_value:
             mask = closed[t]
             # Chosen closed neighbourhoods are disjoint, so t can join
             # exactly when none of its closed neighbourhood is covered.

@@ -158,18 +158,16 @@ def reference_dp_rect(m, n):
     return best_value, witness, explored
 
 
-def reference_brute_force(graph):
+def _recursive_search(graph, bound):
     """Exact (F, witness, explored) by the recursive include-first search
-    over coverage counts: the recursive form of ``brute_force_F``, kept as
-    the oracle for its values, witnesses and node counts."""
+    over coverage counts.  A node is cut once value + bound(t, coverage)
+    cannot beat the best value found so far."""
     order = list(graph.vertices())
     count = len(order)
     index = {v: t for t, v in enumerate(order)}
     weights = [1 + graph.degree(v) for v in order]
     closed = [[index[v]] + [index[u] for u in graph.neighbors(v)] for v in order]
-    suffix = [0] * (count + 1)
-    for t in range(count - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + weights[t]
+    optimistic = bound(weights, closed)
 
     coverage = [0] * count
     chosen = []
@@ -183,7 +181,7 @@ def reference_brute_force(graph):
         if value > best_value:
             best_value = value
             best_set = list(chosen)
-        if t == count or value + suffix[t] <= best_value:
+        if t == count or value + optimistic(t, coverage) <= best_value:
             return
         if all(coverage[x] == 0 for x in closed[t]):
             for x in closed[t]:
@@ -198,6 +196,37 @@ def reference_brute_force(graph):
     dfs(0, 0)
     witness = normalize_set(order[t] for t in best_set)
     return best_value, witness, explored
+
+
+def _uncovered_reach(weights, closed):
+    # reach[t]: the vertices that some vertex s >= t dominates.
+    reach = [set() for _ in range(len(closed) + 1)]
+    for t in range(len(closed) - 1, -1, -1):
+        reach[t] = reach[t + 1] | set(closed[t])
+    return lambda t, coverage: sum(1 for x in reach[t] if coverage[x] == 0)
+
+
+def _suffix_sum(weights, closed):
+    suffix = [0] * (len(weights) + 1)
+    for t in range(len(weights) - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + weights[t]
+    return lambda t, coverage: suffix[t]
+
+
+def reference_brute_force(graph):
+    """The recursive form of ``brute_force_F``, bounded by the uncovered
+    vertices that a later vertex could still dominate; kept as the oracle
+    for its values, witnesses and node counts."""
+    return _recursive_search(graph, _uncovered_reach)
+
+
+def reference_suffix_search(graph):
+    """The same search bounded by the sum of 1 + deg over every later
+    vertex, a looser bound that enters more nodes.  Both bounds cut only
+    branches that cannot beat the best value so far, so both keep the
+    first optimum in include-first preorder: F and witness must match
+    ``reference_brute_force`` and ``brute_force_F``."""
+    return _recursive_search(graph, _suffix_sum)
 
 
 def reference_knight(n):

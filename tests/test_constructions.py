@@ -15,7 +15,7 @@ from effdom.constructions import (
     predicted_voids,
 )
 from effdom.lattice import rect
-from effdom.packing import audit, is_two_packing, transpose_set
+from effdom.packing import audit, transpose_set
 
 # -- 2 x n strips ---------------------------------------------------------------
 

@@ -161,29 +161,29 @@ GOLDEN = {
     "render-tri-svg": (0, "e8b06eef3643e62424e804d10153713fa42de55564165724109fa1e1cc67cc5c"),
     "render-tri-torus-ascii": (0, "5ba6fc17b170dacde604343541a2fe612a0e5160bf36fe3a1b4f56c06e3e68a8"),
     "render-tri-torus-svg": (0, "796dda47c6a116e5616aa21686e1acea0d98e1a53a902f4fc6656e6c6ad74740"),
-    "solve-hex-torus:4x6-auto": (0, "231ab802f081cdae856fa977ccca67cf80c9e9ad0fadf47c5d93bdae92c0d136"),
-    "solve-hex-torus:4x6-brute": (0, "231ab802f081cdae856fa977ccca67cf80c9e9ad0fadf47c5d93bdae92c0d136"),
-    "solve-hex:4x6-auto": (0, "5250959ccab5de5c14974a1f86ccbfcf678b94c270a503c7cf1199689c31b67d"),
-    "solve-hex:4x6-brute": (0, "5250959ccab5de5c14974a1f86ccbfcf678b94c270a503c7cf1199689c31b67d"),
+    "solve-hex-torus:4x6-auto": (0, "bc43bcfa63c1eb28f46c792871cb9212de0b690dbbb91b581552112db6b66eb0"),
+    "solve-hex-torus:4x6-brute": (0, "bc43bcfa63c1eb28f46c792871cb9212de0b690dbbb91b581552112db6b66eb0"),
+    "solve-hex:4x6-auto": (0, "8486074e7fd92cde7cfcfd03de5ca3011b466987b96db21c7d350a246405f4ed"),
+    "solve-hex:4x6-brute": (0, "8486074e7fd92cde7cfcfd03de5ca3011b466987b96db21c7d350a246405f4ed"),
     "solve-hex:4x6-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "solve-rect-torus:5x5-auto": (0, "bc4f50993c776bab409f4fb8c443b50e9652d9af4c7ba88217c5e61253be2b69"),
-    "solve-rect-torus:5x5-brute": (0, "bc4f50993c776bab409f4fb8c443b50e9652d9af4c7ba88217c5e61253be2b69"),
+    "solve-rect-torus:5x5-auto": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
+    "solve-rect-torus:5x5-brute": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
     "solve-rect-torus:5x5-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "solve-rect:16x2-auto": (0, "4af39e67f4e9e2c5b8e11cd098988eafa9cf25d5155213d4db3f30504a1a2ef7"),
     "solve-rect:16x2-dp": (0, "4af39e67f4e9e2c5b8e11cd098988eafa9cf25d5155213d4db3f30504a1a2ef7"),
     "solve-rect:20x3-auto": (0, "8718913d249c45210a095e94d7cd019e589a62dad4f829388cef40b3c4b724d0"),
     "solve-rect:20x3-dp": (0, "8718913d249c45210a095e94d7cd019e589a62dad4f829388cef40b3c4b724d0"),
     "solve-rect:4x9-auto": (0, "dd832c94507c3514443798f473b0ac3597837600d7d2cf616a3ce3acbbf59f87"),
-    "solve-rect:4x9-brute": (0, "5661a67422166f899b23db35935deb787e07f91cc0836ccd4e72bf9ded06bb68"),
+    "solve-rect:4x9-brute": (0, "158baac52f659c4758c5311746721ab85af1464432ddc1c1674663df24ac12b2"),
     "solve-rect:4x9-dp": (0, "dd832c94507c3514443798f473b0ac3597837600d7d2cf616a3ce3acbbf59f87"),
     "solve-rect:5x5-auto": (0, "e22e5ea8a32fe83c883bc662ca06c272113487f5dacb19c3023445a814b7df4b"),
-    "solve-rect:5x5-brute": (0, "dd94ebbb0c06f1ab785769e72857fa6001681131d37e63d6b9394de38f0c1de5"),
+    "solve-rect:5x5-brute": (0, "3b1a29ce29c93ec28c51cc3701b9b8731886e2b8b757836c158972d87204d588"),
     "solve-rect:5x5-dp": (0, "e22e5ea8a32fe83c883bc662ca06c272113487f5dacb19c3023445a814b7df4b"),
     "solve-rect:8x8-brute": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "solve-tri-torus:4x4-auto": (0, "e01f377781e98234e4398243a8ccf80880eabc68ee3ad15a5ff4b3104ccf3cc1"),
     "solve-tri-torus:4x4-brute": (0, "e01f377781e98234e4398243a8ccf80880eabc68ee3ad15a5ff4b3104ccf3cc1"),
-    "solve-tri:6-auto": (0, "d14047f85cff36785f845a9d329cd7088cfe52a35f72d603fb3bec49896e0019"),
-    "solve-tri:6-brute": (0, "d14047f85cff36785f845a9d329cd7088cfe52a35f72d603fb3bec49896e0019"),
+    "solve-tri:6-auto": (0, "dbe1a7c516187de0c4ebc0a3e41426f8100066b7f6534f6d58a8db87523879e7"),
+    "solve-tri:6-brute": (0, "dbe1a7c516187de0c4ebc0a3e41426f8100066b7f6534f6d58a8db87523879e7"),
     "solve-tri:6-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "table-7-10": (0, "6a18e1152dca787e776c40cb84d0279b81ec6fc3e56f75b3d0431de9b12267c4"),
     "table-7-20-width-9": (0, "6dfd83bf46cfe31136e8f6938bc75e57550904e91a4c6874b067d784f2c0f65a"),

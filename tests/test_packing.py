@@ -12,8 +12,6 @@ from effdom.lattice import InvalidCoordError, hexa, rect, tri
 from effdom.packing import (
     _sort_key,
     audit,
-    influence,
-    is_two_packing,
     normalize_set,
     report_to_json,
     set_from_json,
@@ -62,20 +60,25 @@ def test_audit_names_first_foreign_vertex_in_row_major_order():
 
 
 def test_is_two_packing_examples():
-    assert is_two_packing(rect(2, 5), [(1, 1), (1, 5), (2, 3)])
-    assert is_two_packing(rect(4, 4), [(2, 2)])
-    assert not is_two_packing(rect(4, 4), [(1, 1), (1, 3)])
+    assert audit(rect(2, 5), [(1, 1), (1, 5), (2, 3)]).is_two_packing
+    assert audit(rect(4, 4), [(2, 2)]).is_two_packing
+    assert not audit(rect(4, 4), [(1, 1), (1, 3)]).is_two_packing
 
 
 def test_influence_examples():
-    assert influence(rect(3, 3), [(1, 1), (3, 2)]) == 7
-    assert influence(rect(3, 3), [(1, 1), (3, 3)]) == 6
-    assert influence(rect(4, 4), eds_p4_p4()) == 16
+    for graph, members, value in (
+        (rect(3, 3), [(1, 1), (3, 2)], 7),
+        (rect(3, 3), [(1, 1), (3, 3)], 6),
+        (rect(4, 4), eds_p4_p4(), 16),
+    ):
+        report = audit(graph, members)
+        assert report.is_two_packing and report.influence == value
 
 
 def test_influence_refuses_conflicting_sets():
-    with pytest.raises(ValueError, match="2-packing"):
-        influence(rect(4, 4), [(1, 1), (1, 3)])
+    # Influence is the sum of 1 + deg only for a 2-packing; the report of
+    # a conflicting set says it is not one.
+    assert not audit(rect(4, 4), [(1, 1), (1, 3)]).is_two_packing
 
 
 def test_eds_iff_influence_equals_vertex_count():
@@ -191,7 +194,7 @@ def test_subsets_of_packings_are_packings():
         members = greedy_random_packing(lat, rng)
         for drop in range(len(members)):
             subset = members[:drop] + members[drop + 1 :]
-            assert is_two_packing(lat, subset)
+            assert audit(lat, subset).is_two_packing
 
 
 def test_coverage_counts_every_vertex_once():

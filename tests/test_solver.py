@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
-from conftest import exhaustive_max_influence, reference_brute_force, reference_dp_rect
+from conftest import (
+    exhaustive_max_influence,
+    reference_brute_force,
+    reference_dp_rect,
+    reference_suffix_search,
+)
 from effdom.lattice import Lattice, hexa, rect, tri
 from effdom.packing import audit
 from effdom.solver import (
@@ -91,8 +96,7 @@ def _augmented_3x3():
     return near_grid_augment(rect(3, 3), fset_pn_p3(3))[0]
 
 
-@pytest.mark.parametrize(
-    "graph",
+SEARCH_GRAPHS = (
     [rect(m, n) for m in range(1, 26) for n in range(1, 25 // m + 1)]
     + [
         Lattice.from_descriptor(d)
@@ -106,12 +110,50 @@ def _augmented_3x3():
             "hex-torus:4x6",
         )
     ]
-    + [_augmented_3x3()],
-    ids=lambda g: g.descriptor(),
+    + [_augmented_3x3()]
 )
+
+
+@pytest.mark.parametrize("graph", SEARCH_GRAPHS, ids=lambda g: g.descriptor())
 def test_brute_matches_reference_search(graph):
     result = brute_force_F(graph)
     assert (result.f_value, result.witness, result.explored) == reference_brute_force(graph)
+
+
+@pytest.mark.parametrize("graph", SEARCH_GRAPHS, ids=lambda g: g.descriptor())
+def test_brute_keeps_suffix_bound_optimum(graph):
+    # The uncovered-reach bound only cuts branches that cannot beat the
+    # best value so far, so the first optimum in include-first preorder,
+    # the one the looser suffix-sum bound returns, is still the witness.
+    result = brute_force_F(graph)
+    f_value, witness, explored = reference_suffix_search(graph)
+    assert (result.f_value, result.witness) == (f_value, witness)
+    assert result.explored <= explored
+
+
+@pytest.mark.parametrize(
+    "descriptor, f_value, explored",
+    [
+        ("hex:6x8", 47, 532),
+        ("hex-torus:6x8", 48, 4_000),
+        ("rect:7x7", 44, 9_060),
+        ("rect-torus:7x7", 40, 103_074),
+        ("tri:9", 39, 6_461),
+        ("tri-torus:7x7", 49, 1_824),
+    ],
+)
+def test_brute_node_counts(descriptor, f_value, explored):
+    # Pinned work: a looser bound would enter more nodes and fail here.
+    result = brute_force_F(Lattice.from_descriptor(descriptor))
+    assert (result.f_value, result.explored) == (f_value, explored)
+
+
+def test_brute_above_default_limit_matches_dp():
+    grid = rect(9, 9)
+    result = brute_force_F(grid, limit=81)
+    assert result.f_value == dp_F_rect(9, 9).f_value == 77
+    report = audit(grid, result.witness)
+    assert report.is_two_packing and report.influence == 77
 
 
 def test_brute_force_deterministic():
