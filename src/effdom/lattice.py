@@ -36,7 +36,6 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -230,37 +229,6 @@ class Lattice:
     def degree(self, v: Coord) -> int:
         self.require(v)
         return len(self.compiled.adj[self.compiled.index[v]])
-
-    # -- distance -----------------------------------------------------------
-
-    def distance(self, u: Coord, v: Coord) -> int:
-        """Shortest-path length between two vertices."""
-        self.require(u)
-        self.require(v)
-        if u == v:
-            return 0
-        if self.kind is LatticeKind.RECTANGULAR:
-            di = abs(u[0] - v[0])
-            dj = abs(u[1] - v[1])
-            if self.torus:
-                di = min(di, self.rows - di)
-                dj = min(dj, self.cols - dj)
-            return di + dj
-        return self._bfs_distance(u, v)
-
-    def _bfs_distance(self, u: Coord, v: Coord) -> int:
-        seen = {u: 0}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            d = seen[w]
-            for x in self.neighbors(w):
-                if x not in seen:
-                    if x == v:
-                        return d + 1
-                    seen[x] = d + 1
-                    queue.append(x)
-        raise ValueError(f"{u} and {v} are not connected in {self.descriptor()}")
 
     # -- descriptors --------------------------------------------------------
 

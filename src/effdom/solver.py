@@ -40,11 +40,23 @@ symmetric, so B's predecessors are the (A, B) with A in compat[B].
 Each column goes through each middle mask B once: it ranks B's full
 predecessors by value, highest first, and every canonical target (B, C)
 takes the first ranked A with A & C == 0 plus a weight that depends
-only on C and on whether columns lie to its left and right.  The slot
-values of every column are kept as one ``array('i')``.
+only on C and on whether columns lie to its left and right.
+
+``dp_F_rect`` stops sweeping once the slot vector repeats.  Columns
+2..n - 1 apply one max-plus operator T to a vector in which every state
+is reached, and T(v + g) = T(v) + g for a constant g.  After each
+interior column the vector less its maximum is keyed in a dict; when the
+vector after column c0 + p has the key of the one after c0, the vector
+after every later interior column j is that after c0 + (j - c0) % p plus
+g * ((j - c0) // p), where g is the difference of the two maxima (at
+m = 10, c0 = 15 and p = 5).  The slot values are kept as one
+``array('i')`` per column through column c0 + p - 1, column n is stepped
+once from the reduced vector of column n - 1, and the multiple of g is
+added to its maximum.
 
 ``explored`` counts the transitions out of reached full states, summed
-over the columns.  Column 1 reaches every (0, C) and column 2 every
+over all n columns as a full sweep would make them, not over the columns
+actually swept.  Column 1 reaches every (0, C) and column 2 every
 valid pair, so it is fixed before the sweep starts:
 len(masks) + (n > 1) * P + max(n - 2, 0) * T, where P counts the valid
 pairs and T the valid (A, B, C) with A & C == 0 (one bitset over
@@ -52,7 +64,10 @@ compat[B] per row gives the C that each A excludes).  Witnesses are
 rebuilt by a right-to-left walk that recomputes one back-pointer per
 column, the full predecessor with the largest value and the smallest
 A, exactly the choice a sweep over all states would store, and are
-audited before returning.
+audited before returning.  Past c0 the walk reads the reduced vectors:
+a constant added to a column changes neither its largest value's
+position nor the smallest-A tie-break, so the witness is the full
+sweep's.
 
 ``check_conjecture`` sweeps only about half the columns
 (``_mirror_F_rect``).  A grid is left-right symmetric, so its columns
@@ -66,9 +81,10 @@ off once; for n >= 4 both are interior, so w is the weight with a column
 on each side.  Columns k - 2 and k + 1 are three apart, so the join needs
 no other constraint.  The witness joins a walk from (A, B) over columns
 1..k with a mirrored walk from (B, A) over columns 1..k2 and is audited.
-``solve`` keeps the full sweep: the tests' reference sweep and the
+``solve`` keeps ``dp_F_rect``: the tests' reference sweep and the
 goldens pin its witness and ``explored``, and the mirror counts no
-``explored``.
+``explored``.  The mirror keys no vectors, so ``conjecture`` pays no
+hashing.
 """
 
 from __future__ import annotations
@@ -260,6 +276,34 @@ class _Transfer:
         cw = self.mask_weights(left, right)
         return [[cw[C] for C in Cs] for _, _, Cs in self.steps]
 
+    def step(self, val: Any, column: list[list[int]]) -> list[int]:
+        """Slot values after one column with step weights ``column``, from
+        the values ``val`` after the column before."""
+        score = val.__getitem__
+        out = []
+        append = out.append
+        for (slots, As, Cs), ws in zip(self.steps, column):
+            # B's full predecessors, best first; each target (B, C) takes
+            # the first one whose A is disjoint from C (A = 0 always is).
+            ranked = sorted(zip(map(score, slots), As), reverse=True)
+            for C, w in zip(Cs, ws):
+                for v, A in ranked:
+                    if not A & C:
+                        append(v + w)
+                        break
+        return out
+
+    def start(self, columns: int) -> list[int]:
+        """Slot values before column 1: the start state (0, 0) has slot 0.
+
+        Unreached states start far enough below zero to stay negative after
+        ``columns`` columns of weights (each at most 5 per row), so no value
+        built on one beats a reached state.
+        """
+        val = [-1 - 5 * self.m * columns] * len(self.canonical)
+        val[0] = 0
+        return val
+
     def sweep(self, columns: list[list[list[int]]]) -> list[Any]:
         """Slot values after each column, from the start state (0, 0).
 
@@ -271,29 +315,48 @@ class _Transfer:
         # never run the DP (oracle, audit and render commands).
         from array import array
 
-        # Unreached states start far enough below zero to stay negative
-        # after every column's weights (each at most 5 per row), so no value
-        # built on one beats a reached state.  (0, 0) has slot 0.
-        val = [-1 - 5 * self.m * len(columns)] * len(self.canonical)
-        val[0] = 0
+        val = self.start(len(columns))
         values = [array("i", val)]
-        steps = self.steps
         for column in columns:
-            score = val.__getitem__
-            val = []
-            append = val.append
-            for (slots, As, Cs), ws in zip(steps, column):
-                # B's full predecessors, best first; each target (B, C)
-                # takes the first one whose A is disjoint from C (A = 0
-                # always is).
-                ranked = sorted(zip(map(score, slots), As), reverse=True)
-                for C, w in zip(Cs, ws):
-                    for v, A in ranked:
-                        if not A & C:
-                            append(v + w)
-                            break
+            val = self.step(val, column)
             values.append(array("i", val))
         return values
+
+    def strip_sweep(self, n: int) -> tuple[list[Any], int]:
+        """Slot values after each column of the n-column grid, swept only
+        until the interior vector repeats (see the module docstring).
+
+        Returns ``(values, lift)``: entry c of ``values`` is the slot vector
+        after column c less a constant of that column, and ``lift`` added
+        to entry n gives the true values after column n.
+        """
+        from array import array
+
+        inner = self.weights(True, True)
+        val = self.start(n)
+        values = [array("i", val)]
+        # Each interior vector less its maximum, keyed to its first column.
+        # A repeat after column n - 1 would save no column, so that one is
+        # not keyed.
+        seen = {}
+        lift = 0
+        for c in range(1, n):
+            val = self.step(val, inner if c > 1 else self.weights(False, True))
+            if 2 <= c <= n - 2:
+                top = max(val)
+                c0 = seen.setdefault(array("i", map((-top).__add__, val)).tobytes(), c)
+                if c0 < c:
+                    # The vector after column c is that after c0 plus g, so
+                    # columns c..n - 1 reuse the vectors of c0..c - 1; the
+                    # walk's back-pointers ignore each column's constant.
+                    p, g = c - c0, top - max(values[c0])
+                    values += [values[c0 + (j - c0) % p] for j in range(c, n)]
+                    lift = g * ((n - 1 - c0) // p)
+                    val = values[n - 1]
+                    break
+            values.append(array("i", val))
+        values.append(array("i", self.step(val, self.weights(n > 1, False))))
+        return values, lift
 
     def walk(self, values: list[Any], state: tuple[int, int]) -> list[int]:
         """Column masks of an optimal path that ends in ``state`` after
@@ -352,14 +415,13 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
                 triples += len(Cs) - excluded.bit_count()
         explored += (n - 2) * triples
 
-    # Columns 1, 2 and n meet every (left, right) the sweep needs.
-    kinds = {key: transfer.weights(*key) for key in {(c > 1, c < n) for c in (1, min(2, n), n)}}
-    values = transfer.sweep([kinds[c > 1, c < n] for c in range(1, n + 1)])
+    values, lift = transfer.strip_sweep(n)
     last = values[n]
-    best_value = max(last)
+    top = max(last)
+    best_value = top + lift
     # The canonical pair is the smaller of its orbit, so the first maximal
     # slot holds the first maximal pair in sorted order.
-    state = transfer.canonical[last.index(best_value)]
+    state = transfer.canonical[last.index(top)]
     witness = transfer.witness(transfer.walk(values, state))
     elapsed = time.perf_counter() - t0
 

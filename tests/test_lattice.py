@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from conftest import bfs_distance, reference_neighbors
 from effdom.constructions import near_grid_augment
 from effdom.lattice import MAX_VERTICES, InvalidCoordError, Lattice, LatticeKind, hexa, rect, tri
+from effdom.packing import audit
 
 SAMPLE_LATTICES = [
     rect(1, 1),
@@ -135,17 +136,25 @@ def test_transpose_is_an_automorphism_of_square_grids(n):
 # -- distance -----------------------------------------------------------------
 
 
+def _rect_distance(lat, u, v):
+    """Closed-form distance on a rectangle: Manhattan, wrapped on a torus."""
+    di, dj = abs(u[0] - v[0]), abs(u[1] - v[1])
+    if lat.torus:
+        di, dj = min(di, lat.rows - di), min(dj, lat.cols - dj)
+    return di + dj
+
+
 def test_distance_closed_form_example():
-    assert rect(4, 4).distance((1, 1), (2, 3)) == 3
+    assert bfs_distance(rect(4, 4), (1, 1), (2, 3)) == 3
 
 
 def test_distance_to_self():
     for lat in (rect(3, 3), tri(4), hexa(4, 4)):
-        assert lat.distance((2, 2), (2, 2)) == 0
+        assert bfs_distance(lat, (2, 2), (2, 2)) == 0
 
 
 def test_torus_distance_wraps():
-    assert rect(5, 5, torus=True).distance((1, 1), (1, 5)) == 1
+    assert bfs_distance(rect(5, 5, torus=True), (1, 1), (1, 5)) == 1
 
 
 def test_rect_distance_matches_bfs_exhaustively_up_to_8x8():
@@ -154,8 +163,7 @@ def test_rect_distance_matches_bfs_exhaustively_up_to_8x8():
         verts = lat.vertices()
         for u in verts:
             for v in verts:
-                closed_form = abs(u[0] - v[0]) + abs(u[1] - v[1])
-                assert lat.distance(u, v) == closed_form == bfs_distance(lat, u, v)
+                assert _rect_distance(lat, u, v) == bfs_distance(lat, u, v)
 
 
 @pytest.mark.parametrize(
@@ -171,10 +179,16 @@ def test_rect_distance_matches_bfs_exhaustively_up_to_8x8():
     ids=lambda l: l.descriptor(),
 )
 def test_distance_matches_independent_bfs(lat):
+    # Two distinct vertices form a 2-packing exactly when they lie >= 3 apart;
+    # on a rectangular torus the distance also has a closed form.
     verts = lat.vertices()
     for u in verts[:: max(1, len(verts) // 8)]:
         for v in verts:
-            assert lat.distance(u, v) == bfs_distance(lat, u, v)
+            d = bfs_distance(lat, u, v)
+            if lat.kind is LatticeKind.RECTANGULAR:
+                assert d == _rect_distance(lat, u, v)
+            if u != v:
+                assert audit(lat, [u, v]).is_two_packing == (d >= 3)
 
 
 @given(
@@ -189,8 +203,8 @@ def test_rect_distance_symmetry_and_triangle_inequality(rows, cols, data):
     u = data.draw(st.sampled_from(verts))
     v = data.draw(st.sampled_from(verts))
     w = data.draw(st.sampled_from(verts))
-    assert lat.distance(u, v) == lat.distance(v, u)
-    assert lat.distance(u, w) <= lat.distance(u, v) + lat.distance(v, w)
+    assert bfs_distance(lat, u, v) == bfs_distance(lat, v, u) == _rect_distance(lat, u, v)
+    assert bfs_distance(lat, u, w) <= bfs_distance(lat, u, v) + bfs_distance(lat, v, w)
 
 
 # -- descriptors and validation -------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import bfs_distance
 from effdom.lattice import LatticeKind, hexa
 from effdom.packing import audit
 from effdom.periodic import (
@@ -38,7 +39,7 @@ def test_rect_motif_pairwise_torus_distance():
     motif = rect_code_motif(0)
     torus = motif.torus_lattice()
     for u, v in itertools.combinations(motif.cells, 2):
-        assert torus.distance(u, v) >= 3
+        assert bfs_distance(torus, u, v) >= 3
 
 
 def test_rect_motif_closed_under_knight_offsets():
@@ -102,7 +103,7 @@ def test_tri_code_offsets_have_distance_three():
     torus = tri_code_motif(0).torus_lattice()
     center = (4, 4)
     for dx, dy in TRI_CODE_OFFSETS:
-        assert torus.distance(center, (4 + dx, 4 + dy)) == 3
+        assert bfs_distance(torus, center, (4 + dx, 4 + dy)) == 3
 
 
 def test_tri_motif_residue_domain():
@@ -189,7 +190,7 @@ def test_hex_motif_members_pairwise_distance_three():
     motif = hex_code_motif()
     torus = motif.torus_lattice()
     for u, v in itertools.combinations(motif.cells, 2):
-        assert torus.distance(u, v) >= 3
+        assert bfs_distance(torus, u, v) >= 3
 
 
 # -- cross-check against the exact solver ----------------------------------------------

@@ -15,6 +15,7 @@ from effdom.packing import audit
 from effdom.solver import (
     ConjectureRow,
     _mirror_F_rect,
+    _Transfer,
     brute_force_F,
     check_conjecture,
     dp_F_rect,
@@ -238,7 +239,10 @@ def test_dp_deterministic():
     "m,n",
     [(m, n) for m in range(1, 9) for n in range(1, 15)]
     + [(10, 300), (12, 12), (9, 31), (11, 20), (13, 13), (14, 6), (15, 15)]
-    + [(16, 1), (16, 2), (16, 3), (16, 5), (12, 1), (12, 2)],
+    + [(16, 1), (16, 2), (16, 3), (16, 5), (12, 1), (12, 2)]
+    # Long enough to run past the repeat of the slot vector: (4, 60) repeats
+    # with period 7 and (5, 80) only from column 30.
+    + [(1, 40), (2, 40), (3, 60), (4, 60), (5, 80), (6, 60), (7, 60), (8, 60)],
 )
 def test_dp_matches_reference_sweep(m, n):
     expected = reference_dp_rect(m, n)
@@ -259,6 +263,26 @@ def test_dp_full_height_square():
     # (A, B, C) column triples at full height.
     result = dp_F_rect(16, 16)
     assert (result.f_value, result.explored) == (244, 17319810)
+
+
+def test_dp_long_strips_match_closed_forms():
+    assert dp_F_rect(2, 100001).f_value == 2 * 100001
+    assert dp_F_rect(3, 100000).f_value == 3 * 100000 - 100000 // 3
+
+
+def test_dp_sweeps_only_to_first_repeat(monkeypatch):
+    # At height 10 the slot vector after column 20 repeats the one after
+    # column 15, so the sweep stops there and steps once more for column n.
+    steps = []
+    step = _Transfer.step
+
+    def counted(self, val, column):
+        steps.append(column)
+        return step(self, val, column)
+
+    monkeypatch.setattr(_Transfer, "step", counted)
+    assert dp_F_rect(10, 300).f_value == 2876
+    assert len(steps) <= 21
 
 
 def test_dp_rejects_degenerate():
