@@ -6,7 +6,6 @@ of rectangular, triangular and hexagonal lattices, bounded or toroidal.
 
 from .constructions import (
     AugmentedLattice,
-    KnightPattern,
     Pendant,
     eds_p4_p4,
     eds_pn_p2,
@@ -52,7 +51,6 @@ __all__ = [
     "DP_WIDTH_LIMIT",
     "DominationReport",
     "InvalidCoordError",
-    "KnightPattern",
     "Lattice",
     "LatticeKind",
     "Motif",

@@ -158,17 +158,7 @@ def lower_bound_F(n: int) -> int:
 # -- knight construction ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KnightPattern:
-    """Anchor picks plus their knight-ray extensions on the n x n grid."""
-
-    n: int
-    seeds: tuple[Coord, ...]
-    rays: dict[Coord, tuple[Coord, ...]]
-    full_set: tuple[Coord, ...]
-
-
-def knight_construction(n: int) -> KnightPattern:
+def knight_construction(n: int) -> tuple[Coord, ...]:
     """Near-optimal 2-packing of the n x n grid, n >= 7.
 
     The rectangular perfect code cut to the board: the class
@@ -179,13 +169,7 @@ def knight_construction(n: int) -> KnightPattern:
     """
     if n < 7:
         raise ValueError(f"knight_construction needs n >= 7, got {n}")
-    full = periodic.expand_motif(periodic.rect_code_motif(0 if n % 5 == 4 else 4), n, n)
-    seeds = tuple((i, j) for i, j in full if j <= 2 or i == n)
-    rays = {
-        (i, j): tuple((i - k, j + 2 * k) for k in range(1, min(i - 1, (n - j) // 2) + 1))
-        for i, j in seeds
-    }
-    return KnightPattern(n=n, seeds=seeds, rays=rays, full_set=full)
+    return periodic.expand_motif(periodic.rect_code_motif(0 if n % 5 == 4 else 4), n, n)
 
 
 # -- pendant augmentation -----------------------------------------------------
@@ -224,9 +208,6 @@ class AugmentedLattice:
     def vertex_count(self) -> int:
         return self.base.vertex_count + len(self.pendants)
 
-    def vertices(self) -> list[Vertex]:
-        return list(self.base.vertices()) + list(self.pendants)
-
     @cached_property
     def compiled(self) -> CompiledGraph:
         """The base grid's tables extended by one id per pendant."""
@@ -239,19 +220,6 @@ class AugmentedLattice:
             adj[anchor] += (t,)
             adj.append((anchor,))
         return CompiledGraph(base.order + list(self.pendants), index, adj)
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        if not isinstance(v, Pendant):
-            self.base.require(v)
-        elif v not in self.compiled.index:
-            raise ValueError(f"{v!r} is not a vertex of this graph")
-        return self.compiled.neighbors(v)
-
-    def degree(self, v: Vertex) -> int:
-        return len(self.neighbors(v))
-
-    def descriptor(self) -> str:
-        return f"{self.base.descriptor()}+{len(self.pendants)}p"
 
 
 def near_grid_augment(
@@ -318,7 +286,5 @@ CONSTRUCTIONS: dict[str, Construction] = {
     "p2-even": Construction(lambda n: rect(2, n), fset_pn_p2_even, _p2_even_contract),
     "p3": Construction(lambda n: rect(3, n), fset_pn_p3, _p3_contract),
     "square": Construction(lambda n: rect(n, n), _square, _square_contract),
-    "knight": Construction(
-        lambda n: rect(n, n), lambda n: knight_construction(n).full_set, _knight_contract
-    ),
+    "knight": Construction(lambda n: rect(n, n), knight_construction, _knight_contract),
 }

@@ -74,9 +74,6 @@ class CompiledGraph(NamedTuple):
     index: dict[Hashable, int]
     adj: list[tuple[int, ...]]
 
-    def neighbors(self, v: Hashable) -> tuple[Hashable, ...]:
-        return tuple(self.order[s] for s in self.adj[self.index[v]])
-
 
 def _zip_present(*columns: list) -> list[tuple]:
     # A column is empty when its row does not exist (above the top or below
@@ -220,15 +217,6 @@ class Lattice:
             tuples[1 - s :: 2] = _zip_present(up[1 - s :: 2], left[1 - s :: 2], right[1 - s :: 2])
             adj += self._ascending(tuples)
         return adj
-
-    def neighbors(self, v: Coord) -> tuple[Coord, ...]:
-        """Adjacent vertices, sorted row-major; symmetric by construction."""
-        self.require(v)
-        return self.compiled.neighbors(v)
-
-    def degree(self, v: Coord) -> int:
-        self.require(v)
-        return len(self.compiled.adj[self.compiled.index[v]])
 
     # -- descriptors --------------------------------------------------------
 

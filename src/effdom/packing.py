@@ -11,11 +11,12 @@ equals the number of dominated vertices.  For a set that is not a
 2-packing the influence reported here is the dominated-vertex count; the
 raw weight sum is kept alongside so the discrepancy is visible.
 
-The audit works on any graph object exposing ``compiled``, its
+A *graph* is any object with ``vertex_count`` and ``compiled``, its
 :class:`~effdom.lattice.CompiledGraph` (row-major vertex order, vertex
 ids and sorted neighbour ids): lattices as well as the pendant-augmented
-graphs built by :mod:`effdom.constructions`.  Coverage is counted over
-ids and reported per vertex in row-major order.
+graphs built by :mod:`effdom.constructions`.  The audit, the solvers and
+the SVG renderer read adjacency only from ``compiled``.  Coverage is
+counted over ids and reported per vertex in row-major order.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ Hexagonal
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .lattice import Coord, Lattice, LatticeKind
 from .packing import DominationReport, audit
@@ -64,15 +63,6 @@ class Motif:
     @property
     def density(self) -> float:
         return len(self.cells) / (self.periods[0] * self.periods[1])
-
-    @cached_property
-    def _cell_set(self) -> frozenset[Coord]:
-        return frozenset(self.cells)
-
-    def contains_translate(self, v: Coord) -> bool:
-        """Membership of the motif's periodic extension at any coordinate."""
-        p, q = self.periods
-        return ((v[0] - 1) % p + 1, (v[1] - 1) % q + 1) in self._cell_set
 
 
 def _residue_motif(kind: LatticeKind, p: int, residue: int) -> Motif:

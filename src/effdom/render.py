@@ -121,12 +121,3 @@ def svg_lines(
             circles.append(f'<circle cx="{x}" cy="{y}" {dot}/>')
         yield "\n".join(circles)
     yield "</svg>"
-
-
-def svg_board(
-    lattice: Lattice,
-    members: tuple[Coord, ...],
-    report: DominationReport,
-) -> str:
-    """A flat SVG: lattice edges as lines, vertices as the three-dot legend."""
-    return "\n".join(svg_lines(lattice, members, report))

@@ -113,7 +113,8 @@ class SolveResult:
 
 
 def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
-    """Exact F by depth-first search over vertices in row-major order.
+    """Exact F of a graph (see :mod:`effdom.packing`) by depth-first
+    search over vertices in row-major order.
 
     A node at vertex t is cut when its value plus the count of vertices
     that are uncovered and lie in some closed neighbourhood of a vertex

@@ -7,7 +7,7 @@ import json
 import random
 from collections import deque
 
-from effdom.lattice import LatticeKind
+from effdom.lattice import Lattice, LatticeKind
 from effdom.packing import normalize_set
 
 # Axial offsets of a triangular lattice's six neighbours.
@@ -36,15 +36,32 @@ def reference_neighbors(lattice, v):
     return tuple(sorted(set(out)))
 
 
-def bfs_distance(graph, u, v):
-    """Plain BFS shortest path, independent of any closed-form distance."""
+def compiled_neighbors(graph, v):
+    """The package's own neighbours of v, read from ``graph.compiled``: not
+    an oracle, but what the tests of that adjacency assert on."""
+    compiled = graph.compiled
+    return tuple(compiled.order[s] for s in compiled.adj[compiled.index[v]])
+
+
+def reference_adjacency(graph):
+    """Each vertex of a graph, row-major, mapped to its sorted neighbours.
+    A lattice's come from ``reference_neighbors``, so the oracles below
+    never read ``Lattice.compiled``; a pendant graph's come from its
+    ``compiled`` tables, whose base part the lattice tests check."""
+    if isinstance(graph, Lattice):
+        return {v: reference_neighbors(graph, v) for v in graph.vertices()}
+    order = graph.compiled.order
+    return {v: tuple(order[s] for s in ids) for v, ids in zip(order, graph.compiled.adj)}
+
+
+def _bfs(adjacency, u, v):
     if u == v:
         return 0
     seen = {u}
     queue = deque([(u, 0)])
     while queue:
         w, d = queue.popleft()
-        for x in graph.neighbors(w):
+        for x in adjacency[w]:
             if x == v:
                 return d + 1
             if x not in seen:
@@ -53,11 +70,16 @@ def bfs_distance(graph, u, v):
     return None
 
 
+def bfs_distance(graph, u, v):
+    """Plain BFS shortest path, independent of any closed-form distance."""
+    return _bfs(reference_adjacency(graph), u, v)
+
+
 def pairwise_distances_ok(graph, members, minimum=3):
     """Pairwise distance >= minimum; unreachable pairs count as satisfied."""
-    ms = list(members)
-    for u, v in itertools.combinations(ms, 2):
-        d = bfs_distance(graph, u, v)
+    adjacency = reference_adjacency(graph)
+    for u, v in itertools.combinations(list(members), 2):
+        d = _bfs(adjacency, u, v)
         if d is not None and d < minimum:
             return False
     return True
@@ -65,12 +87,13 @@ def pairwise_distances_ok(graph, members, minimum=3):
 
 def greedy_random_packing(graph, rng: random.Random):
     """A random maximal 2-packing: shuffled greedy insertion."""
-    order = list(graph.vertices())
+    adjacency = reference_adjacency(graph)
+    order = list(adjacency)
     rng.shuffle(order)
-    coverage = dict.fromkeys(graph.vertices(), 0)
+    coverage = dict.fromkeys(adjacency, 0)
     chosen = []
     for v in order:
-        closed = [v, *graph.neighbors(v)]
+        closed = [v, *adjacency[v]]
         if all(coverage[x] == 0 for x in closed):
             chosen.append(v)
             for x in closed:
@@ -80,14 +103,15 @@ def greedy_random_packing(graph, rng: random.Random):
 
 def exhaustive_max_influence(graph):
     """Exact F by enumerating every subset; only for tiny graphs."""
-    verts = list(graph.vertices())
+    adjacency = reference_adjacency(graph)
+    verts = list(adjacency)
     best = 0
     for r in range(len(verts) + 1):
         for combo in itertools.combinations(verts, r):
             coverage = dict.fromkeys(verts, 0)
             ok = True
             for v in combo:
-                for x in (v, *graph.neighbors(v)):
+                for x in (v, *adjacency[v]):
                     coverage[x] += 1
                     if coverage[x] > 1:
                         ok = False
@@ -95,7 +119,7 @@ def exhaustive_max_influence(graph):
                 if not ok:
                     break
             if ok:
-                value = sum(1 + graph.degree(v) for v in combo)
+                value = sum(1 + len(adjacency[v]) for v in combo)
                 best = max(best, value)
     return best
 
@@ -162,11 +186,12 @@ def _recursive_search(graph, bound):
     """Exact (F, witness, explored) by the recursive include-first search
     over coverage counts.  A node is cut once value + bound(t, coverage)
     cannot beat the best value found so far."""
-    order = list(graph.vertices())
+    adjacency = reference_adjacency(graph)
+    order = list(adjacency)
     count = len(order)
     index = {v: t for t, v in enumerate(order)}
-    weights = [1 + graph.degree(v) for v in order]
-    closed = [[index[v]] + [index[u] for u in graph.neighbors(v)] for v in order]
+    weights = [1 + len(adjacency[v]) for v in order]
+    closed = [[index[v]] + [index[u] for u in adjacency[v]] for v in order]
     optimistic = bound(weights, closed)
 
     coverage = [0] * count

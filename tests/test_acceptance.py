@@ -7,7 +7,7 @@ line per criterion, including its runtime against the stated budget.
 import random
 import time
 
-from conftest import bfs_distance, greedy_random_packing, pairwise_distances_ok
+from conftest import bfs_distance, compiled_neighbors, greedy_random_packing, pairwise_distances_ok
 from effdom import (
     audit,
     brute_force_F,
@@ -103,8 +103,7 @@ def test_criterion_4_characterization():
 def test_criterion_5_knight_construction():
     def body():
         for n in range(7, 61):
-            pattern = knight_construction(n)
-            report = audit(rect(n, n), pattern.full_set)
+            report = audit(rect(n, n), knight_construction(n))
             assert report.is_two_packing
             assert report.influence == lower_bound_F(n)
             assert all(i in (1, n) or j in (1, n) for i, j in report.voids)
@@ -192,8 +191,8 @@ def test_criterion_10_randomized_property_suites():
         for _ in range(300):  # adjacency symmetry
             lat = random_lattice(rng)
             v = rng.choice(lat.vertices())
-            for u in lat.neighbors(v):
-                assert v in lat.neighbors(u)
+            for u in compiled_neighbors(lat, v):
+                assert v in compiled_neighbors(lat, u)
             cases += 1
 
         for _ in range(250):  # closed-form distance vs BFS oracle
@@ -209,7 +208,7 @@ def test_criterion_10_randomized_property_suites():
             members = greedy_random_packing(lat, rng)
             report = audit(lat, members)
             assert report.is_two_packing
-            assert report.influence == sum(1 + lat.degree(v) for v in members)
+            assert report.influence == sum(1 + len(compiled_neighbors(lat, v)) for v in members)
             assert report.influence == report.dominated_count
             cases += 1
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_dumps
-from effdom import render, solver
+from effdom import solver
 from effdom.cli import _dumps, main
 from effdom.lattice import Lattice, rect, tri
 from effdom.packing import audit
-from effdom.render import RenderStyle, ascii_board, svg_board
+from effdom.render import RenderStyle, ascii_board, svg_lines
 
 
 def run(capsys, *argv):
@@ -533,7 +533,7 @@ def test_render_custom_glyphs():
 def test_render_svg_structure():
     lat = rect(3, 3)
     members = ((1, 1), (3, 2))
-    svg = svg_board(lat, members, audit(lat, members))
+    svg = "\n".join(svg_lines(lat, members, audit(lat, members)))
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert svg.count("<circle") == 9
     assert 'fill="white"' in svg  # voids drawn hollow
@@ -541,11 +541,11 @@ def test_render_svg_structure():
 
 def test_render_svg_triangle_and_torus():
     lat = tri(3)
-    svg = svg_board(lat, ((1, 2),), audit(lat, ((1, 2),)))
+    svg = "\n".join(svg_lines(lat, ((1, 2),), audit(lat, ((1, 2),))))
     assert svg.count("<circle") == 6
     assert svg.count("<line") == 9  # 3 + 3 + 3 edges of the side-3 patch
     torus = rect(4, 4, torus=True)
-    svg = svg_board(torus, (), audit(torus, ()))
+    svg = "\n".join(svg_lines(torus, (), audit(torus, ())))
     # wrap-around edges are skipped: 24 interior edges remain of 32
     assert svg.count("<line") == 24
 
@@ -597,11 +597,7 @@ class _Writes(io.StringIO):
     ids=["render", "construct"],
 )
 def test_cli_streams_svg(tmp_path, monkeypatch, argv):
-    def refuse(*args, **kwargs):
-        raise AssertionError("svg_board built the document as one string")
-
     path = _write_set(tmp_path, "eds.json", "rect:9x9", [(1, 2), (2, 4), (3, 1), (4, 3)])
-    monkeypatch.setattr(render, "svg_board", refuse)
     stdout = _Writes()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main([path if a == "@" else a for a in argv]) == 0

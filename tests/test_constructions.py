@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import reference_knight
+from conftest import compiled_neighbors, reference_knight
 from effdom.constructions import (
     AugmentedLattice,
     Pendant,
@@ -177,17 +177,16 @@ KNIGHT_9 = (
 
 
 def test_knight_9_matches_known_board():
-    pattern = knight_construction(9)
-    assert pattern.full_set == tuple(sorted(KNIGHT_9))
-    report = audit(rect(9, 9), pattern.full_set)
+    members = knight_construction(9)
+    assert members == tuple(sorted(KNIGHT_9))
+    report = audit(rect(9, 9), members)
     assert report.influence == 77
     assert report.voids == ((1, 5), (5, 1), (5, 9), (9, 5))
 
 
 @pytest.mark.parametrize("n,influence,voids", [(7, 44, 5), (9, 77, 4), (10, 92, 8)])
 def test_knight_known_values(n, influence, voids):
-    pattern = knight_construction(n)
-    report = audit(rect(n, n), pattern.full_set)
+    report = audit(rect(n, n), knight_construction(n))
     assert report.is_two_packing
     assert report.influence == influence
     assert len(report.voids) == voids
@@ -195,30 +194,48 @@ def test_knight_known_values(n, influence, voids):
 
 @pytest.mark.parametrize("n", range(7, 61))
 def test_knight_full_range(n):
-    pattern = knight_construction(n)
-    report = audit(rect(n, n), pattern.full_set)
+    report = audit(rect(n, n), knight_construction(n))
     assert report.is_two_packing
     assert report.influence == lower_bound_F(n)
     assert all(i in (1, n) or j in (1, n) for i, j in report.voids)
     assert len(report.voids) == predicted_voids(n)
 
 
+def _anchors_and_rays(members, n):
+    """The anchors of a knight set, its members in columns 1-2 or on the
+    bottom row, each mapped to its ray: the members (i - k, j + 2k),
+    k = 1, 2, ..., up to the first step that leaves the set."""
+    member_set = set(members)
+    anchors = tuple(v for v in members if v[1] <= 2 or v[0] == n)
+    rays = {}
+    for i, j in anchors:
+        ray, k = [], 1
+        while (i - k, j + 2 * k) in member_set:
+            ray.append((i - k, j + 2 * k))
+            k += 1
+        rays[(i, j)] = tuple(ray)
+    return anchors, rays
+
+
 def test_knight_structure():
-    pattern = knight_construction(12)
-    # anchors live in the first two columns or on the bottom row
-    assert all(j <= 2 or i == pattern.n for i, j in pattern.seeds)
-    # rays step one up, two right from their anchor
-    for (i, j), ray in pattern.rays.items():
-        for k, v in enumerate(ray, start=1):
-            assert v == (i - k, j + 2 * k)
-    ray_union = {v for ray in pattern.rays.values() for v in ray}
-    assert pattern.full_set == tuple(sorted(set(pattern.seeds) | ray_union))
+    n = 12
+    members = knight_construction(n)
+    anchors, rays = _anchors_and_rays(members, n)
+    # every ray runs from its anchor, one up and two right per step, to the
+    # edge of the board
+    for (i, j), ray in rays.items():
+        assert len(ray) == min(i - 1, (n - j) // 2)
+    # the anchors and their rays are the whole set
+    ray_union = {v for ray in rays.values() for v in ray}
+    assert members == tuple(sorted(set(anchors) | ray_union))
 
 
 @pytest.mark.parametrize("n", [*range(7, 151), 250])
 def test_knight_matches_reference_walk(n):
-    pattern = knight_construction(n)
-    assert (pattern.seeds, pattern.rays, pattern.full_set) == reference_knight(n)
+    members = knight_construction(n)
+    seeds, rays, full_set = reference_knight(n)
+    assert members == full_set
+    assert _anchors_and_rays(members, n) == (seeds, rays)
 
 
 def test_knight_domain():
@@ -247,8 +264,7 @@ def test_augment_perfect_code_is_identity():
 
 def test_augment_knight_11():
     lat = rect(11, 11)
-    pattern = knight_construction(11)
-    augmented, eds = near_grid_augment(lat, pattern.full_set)
+    augmented, eds = near_grid_augment(lat, knight_construction(11))
     assert len(augmented.pendants) == predicted_voids(11)
     assert audit(augmented, eds).is_eds
 
@@ -267,12 +283,15 @@ def test_augmented_lattice_graph_protocol():
     lat = rect(3, 3)
     augmented, _ = near_grid_augment(lat, fset_pn_p3(3))
     for pendant in augmented.pendants:
-        assert augmented.degree(pendant) == 1
-        assert augmented.neighbors(pendant) == (pendant.anchor,)
+        assert len(compiled_neighbors(augmented, pendant)) == 1
+        assert compiled_neighbors(augmented, pendant) == (pendant.anchor,)
         # the anchor gained exactly the pendant
-        assert augmented.degree(pendant.anchor) == lat.degree(pendant.anchor) + 1
-        assert pendant in augmented.neighbors(pendant.anchor)
-    assert augmented.vertices()[: lat.vertex_count] == lat.vertices()
+        anchor_neighbors = compiled_neighbors(augmented, pendant.anchor)
+        assert len(anchor_neighbors) == len(compiled_neighbors(lat, pendant.anchor)) + 1
+        assert pendant in anchor_neighbors
+    order = augmented.compiled.order
+    assert augmented.vertex_count == len(order)
+    assert order[: lat.vertex_count] == lat.vertices()
 
 
 def test_audit_rejects_foreign_pendant():

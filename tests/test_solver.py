@@ -115,13 +115,20 @@ SEARCH_GRAPHS = (
 )
 
 
-@pytest.mark.parametrize("graph", SEARCH_GRAPHS, ids=lambda g: g.descriptor())
+def _graph_id(graph):
+    """A lattice's descriptor; a pendant graph's base plus its pendant count."""
+    if isinstance(graph, Lattice):
+        return graph.descriptor()
+    return f"{graph.base.descriptor()}+{len(graph.pendants)}p"
+
+
+@pytest.mark.parametrize("graph", SEARCH_GRAPHS, ids=_graph_id)
 def test_brute_matches_reference_search(graph):
     result = brute_force_F(graph)
     assert (result.f_value, result.witness, result.explored) == reference_brute_force(graph)
 
 
-@pytest.mark.parametrize("graph", SEARCH_GRAPHS, ids=lambda g: g.descriptor())
+@pytest.mark.parametrize("graph", SEARCH_GRAPHS, ids=_graph_id)
 def test_brute_keeps_suffix_bound_optimum(graph):
     # The uncovered-reach bound only cuts branches that cannot beat the
     # best value so far, so the first optimum in include-first preorder,
