@@ -42,17 +42,22 @@ predecessors by value, highest first, and every canonical target (B, C)
 takes the first ranked A with A & C == 0 plus a weight that depends
 only on C and on whether columns lie to its left and right.
 
-``dp_F_rect`` stops sweeping once the slot vector repeats.  Columns
-2..n - 1 apply one max-plus operator T to a vector in which every state
-is reached, and T(v + g) = T(v) + g for a constant g.  After each
-interior column the vector less its maximum is keyed in a dict; when the
+Both DPs run one sweep, ``_Transfer.sweep(count)``, over columns
+1..count, each weighted as if a column lay to its right.  ``dp_F_rect``
+ends it with its closing column n, which has none; ``_mirror_F_rect``
+with a join in the middle.  The sweep stops once the slot vector
+repeats (max-plus cyclicity; Baccelli, Cohen, Olsder & Quadrat,
+*Synchronization and Linearity*, 1992).  Columns 2..count apply one
+max-plus operator T to a vector in which every state is reached, and
+T(v + g) = T(v) + g for a constant g.  After each column from max(2, m)
+to count - 1 the vector less its maximum is keyed in a dict; when the
 vector after column c0 + p has the key of the one after c0, the vector
-after every later interior column j is that after c0 + (j - c0) % p plus
+after every later column j is that after c0 + (j - c0) % p plus
 g * ((j - c0) // p), where g is the difference of the two maxima (at
-m = 10, c0 = 15 and p = 5).  The slot values are kept as one
-``array('i')`` per column through column c0 + p - 1, column n is stepped
-once from the reduced vector of column n - 1, and the multiple of g is
-added to its maximum.
+m = 10, c0 = 15 and p = 5).  Only columns through c0 + p - 1 are kept,
+one ``array('i')`` each, and the sweep returns (c0, p, g), or (0, 1, 0)
+when nothing repeats.  ``dp_F_rect`` steps column n from the reduced
+vector of column n - 1 and adds g * ((n - 1 - c0) // p) to its maximum.
 
 ``explored`` counts the transitions out of reached full states, summed
 over all n columns as a full sweep would make them, not over the columns
@@ -73,18 +78,25 @@ sweep's.
 (``_mirror_F_rect``).  A grid is left-right symmetric, so its columns
 k - 1..n read from right to left are columns 1..k2 of the same sweep,
 where k = (n + 2) // 2 and k2 = n - k + 2 (k2 = k for even n, k + 1 for
-odd n).  One sweep over columns 1..k2, each weighted as if a column lay
-to its right, gives both vectors, and F is the largest
-fwd_k[A, B] + fwd_k2[B, A] - w(A) - w(B) over the canonical pairs.  Both
-parts count the shared columns k - 1 and k, so their weights are taken
-off once; for n >= 4 both are interior, so w is the weight with a column
-on each side.  Columns k - 2 and k + 1 are three apart, so the join needs
-no other constraint.  The witness joins a walk from (A, B) over columns
+odd n).  One sweep over columns 1..k2 gives both vectors, and F is the
+largest fwd_k[A, B] + fwd_k2[B, A] - w(A) - w(B) over the canonical
+pairs.  Both parts count the shared columns k - 1 and k, so their
+weights are taken off once; for n >= 4 both are interior, so w is the
+weight with a column on each side.  Columns k - 2 and k + 1 are three
+apart, so the join needs no other constraint.  A repeat comes before
+column k2 - 1 <= k, so g * ((k - c0) // p + (k2 - c0) // p) is added to
+the joined maximum.  The witness joins a walk from (A, B) over columns
 1..k with a mirrored walk from (B, A) over columns 1..k2 and is audited.
 ``solve`` keeps ``dp_F_rect``: the tests' reference sweep and the
 goldens pin its witness and ``explored``, and the mirror counts no
-``explored``.  The mirror keys no vectors, so ``conjecture`` pays no
-hashing.
+``explored``.
+
+Keying starts at column max(2, m): a key (maximum, shifted ``array``,
+bytes) costs a sixth of a column step at m = 16 (1.5 of 9.3 ms) and a
+quarter at m = 10 (``time.process_time``, 2-vCPU Xeon), and no height
+from 1 to 16 repeats before column m (c0 = 2, 2, 10, 16, 30, 11, 12,
+14, 14, 15, 16, 15, 16, 18, 20, 21).  An n x n square's half sweep has
+k2 = (n + 1) // 2 + 1 <= n columns, so ``conjecture`` hashes nothing.
 """
 
 from __future__ import annotations
@@ -213,7 +225,7 @@ def _bits(mask: int) -> list[int]:
 
 
 class _Transfer:
-    """The column transfer of a height-m grid, shared by both sweeps.
+    """The column transfer of a height-m grid, shared by both DPs.
 
     ``masks`` are the spaced column masks and ``compat[B]`` the masks
     allowed next to B, ascending.  ``slot_of[A][B]`` numbers the valid
@@ -294,70 +306,41 @@ class _Transfer:
                         break
         return out
 
-    def start(self, columns: int) -> list[int]:
-        """Slot values before column 1: the start state (0, 0) has slot 0.
+    def sweep(self, count: int) -> tuple[list[Any], tuple[int, int, int]]:
+        """Slot values after columns 1..count from the start state (0, 0),
+        each column weighted as if a column lay to its right, swept until
+        the interior vector repeats (see the module docstring).
 
-        Unreached states start far enough below zero to stay negative after
-        ``columns`` columns of weights (each at most 5 per row), so no value
-        built on one beats a reached state.
-        """
-        val = [-1 - 5 * self.m * columns] * len(self.canonical)
-        val[0] = 0
-        return val
-
-    def sweep(self, columns: list[list[list[int]]]) -> list[Any]:
-        """Slot values after each column, from the start state (0, 0).
-
-        ``columns[c - 1]`` holds the step weights of column c; entry c of
-        the result is one ``array('i')`` of the slot values after column c.
+        Returns ``(values, (c0, p, g))``: entry c of ``values`` is one
+        ``array('i')`` of the slot values after column c less
+        g * ((c - c0) // p), and ``(0, 1, 0)`` means nothing repeated.
         """
         # Imported here, not at the top: loading the array extension adds
         # about 0.2 MB of resident memory to every process, also those that
         # never run the DP (oracle, audit and render commands).
         from array import array
 
-        val = self.start(len(columns))
+        # Unreached states start low enough to stay negative after count + 1
+        # columns of at most 5 per row, so none beats a reached state.
+        val = [-1 - 5 * self.m * (count + 1)] * len(self.canonical)
+        val[0] = 0
         values = [array("i", val)]
-        for column in columns:
-            val = self.step(val, column)
-            values.append(array("i", val))
-        return values
-
-    def strip_sweep(self, n: int) -> tuple[list[Any], int]:
-        """Slot values after each column of the n-column grid, swept only
-        until the interior vector repeats (see the module docstring).
-
-        Returns ``(values, lift)``: entry c of ``values`` is the slot vector
-        after column c less a constant of that column, and ``lift`` added
-        to entry n gives the true values after column n.
-        """
-        from array import array
-
         inner = self.weights(True, True)
-        val = self.start(n)
-        values = [array("i", val)]
-        # Each interior vector less its maximum, keyed to its first column.
-        # A repeat after column n - 1 would save no column, so that one is
-        # not keyed.
+        # Each interior vector less its maximum from column m on, keyed to
+        # its first column; a repeat after column count would save no column.
         seen = {}
-        lift = 0
-        for c in range(1, n):
+        first = max(2, self.m)
+        for c in range(1, count + 1):
             val = self.step(val, inner if c > 1 else self.weights(False, True))
-            if 2 <= c <= n - 2:
+            if first <= c < count:
                 top = max(val)
                 c0 = seen.setdefault(array("i", map((-top).__add__, val)).tobytes(), c)
                 if c0 < c:
-                    # The vector after column c is that after c0 plus g, so
-                    # columns c..n - 1 reuse the vectors of c0..c - 1; the
-                    # walk's back-pointers ignore each column's constant.
                     p, g = c - c0, top - max(values[c0])
-                    values += [values[c0 + (j - c0) % p] for j in range(c, n)]
-                    lift = g * ((n - 1 - c0) // p)
-                    val = values[n - 1]
-                    break
+                    values += [values[c0 + (j - c0) % p] for j in range(c, count + 1)]
+                    return values, (c0, p, g)
             values.append(array("i", val))
-        values.append(array("i", self.step(val, self.weights(n > 1, False))))
-        return values, lift
+        return values, (0, 1, 0)
 
     def walk(self, values: list[Any], state: tuple[int, int]) -> list[int]:
         """Column masks of an optimal path that ends in ``state`` after
@@ -416,10 +399,12 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
                 triples += len(Cs) - excluded.bit_count()
         explored += (n - 2) * triples
 
-    values, lift = transfer.strip_sweep(n)
-    last = values[n]
+    # The closing column n has no column to its right.
+    values, (c0, p, g) = transfer.sweep(n - 1)
+    last = transfer.step(values[n - 1], transfer.weights(n > 1, False))
+    values.append(last)
     top = max(last)
-    best_value = top + lift
+    best_value = top + g * ((n - 1 - c0) // p)
     # The canonical pair is the smaller of its orbit, so the first maximal
     # slot holds the first maximal pair in sorted order.
     state = transfer.canonical[last.index(top)]
@@ -434,7 +419,8 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
 
 def _mirror_F_rect(rows: int, cols: int) -> tuple[int, tuple[Vertex, ...]]:
     """Exact F and an audited witness of the bounded rows x cols grid,
-    cols >= 4, from a sweep over about half the columns."""
+    cols >= 4, from one sweep over about half the columns (stopped at the
+    repeat on long strips) whose vectors are joined in the middle."""
     if cols < 4:
         # Below 4 columns a shared middle column lies on the boundary.
         raise ValueError(f"the mirror sweep needs at least 4 columns, got {cols}")
@@ -442,20 +428,19 @@ def _mirror_F_rect(rows: int, cols: int) -> tuple[int, tuple[Vertex, ...]]:
     transfer = _Transfer(m)
     canonical, slot_of = transfer.canonical, transfer.slot_of
     # The left part is columns 1..k; the right part, columns k - 1..n read
-    # from right to left, is columns 1..k2 of the same sweep.  Every swept
-    # column has a column to its right.
+    # from right to left, is columns 1..k2 of the same sweep.
     k = (n + 2) // 2
     k2 = n - k + 2
-    inner = transfer.weights(True, True)
-    values = transfer.sweep([transfer.weights(False, True)] + [inner] * (k2 - 1))
+    values, (c0, p, g) = transfer.sweep(k2)
     # Both parts count the shared columns k - 1 and k, which are interior.
     shared = transfer.mask_weights(True, True)
     fwd, bwd = values[k], values[k2]
     joined = [
         fwd[s] + bwd[slot_of[B][A]] - shared[A] - shared[B] for s, (A, B) in enumerate(canonical)
     ]
-    best_value = max(joined)
-    A, B = canonical[joined.index(best_value)]
+    top = max(joined)
+    A, B = canonical[joined.index(top)]
+    best_value = top + g * ((k - c0) // p + (k2 - c0) // p)
 
     # The left walk gives columns 0..k; the right walk, reversed, gives
     # columns k - 1..n, so the left's last two columns are dropped.
@@ -486,13 +471,14 @@ def check_conjecture(
     """Compare the DP value of each n x n grid against the conjectured F,
     the bound ``lower_bound_F(n)``.
 
-    The DP value comes from the half-column mirror sweep and is backed by
-    an audited witness.  Squares wider than the DP limit are reported with
-    ``dp_value=None`` (unverified), never guessed.  The same rows give the
-    void view: n^2 - conjectured is the predicted void count and
-    n^2 - dp_value the exact one, so ``matches`` holds in both views at
-    once.  A range whose largest square has more than ``MAX_VERTICES``
-    vertices is rejected before any square is solved.
+    The DP value comes from the mirror's half sweep, which keys no slot
+    vector on a square, and is backed by an audited witness.  Squares wider
+    than the DP limit are reported with ``dp_value=None`` (unverified),
+    never guessed.  The same rows give the void view: n^2 - conjectured is
+    the predicted void count and n^2 - dp_value the exact one, so
+    ``matches`` holds in both views at once.  A range whose largest square
+    has more than ``MAX_VERTICES`` vertices is rejected before any square is
+    solved.
     """
     if hi > 0 and hi * hi > MAX_VERTICES:
         raise ValueError(

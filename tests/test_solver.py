@@ -277,9 +277,21 @@ def test_dp_long_strips_match_closed_forms():
     assert dp_F_rect(3, 100000).f_value == 3 * 100000 - 100000 // 3
 
 
-def test_dp_sweeps_only_to_first_repeat(monkeypatch):
-    # At height 10 the slot vector after column 20 repeats the one after
-    # column 15, so the sweep stops there and steps once more for column n.
+@pytest.mark.parametrize(
+    "solve,m,n,f_value,fewest,most",
+    [
+        # At height 10 the slot vector after column 20 repeats the one after
+        # column 15, so the sweep stops there; dp_F_rect then steps once more
+        # for column n, while the mirror joins the reduced vectors.
+        (lambda m, n: dp_F_rect(m, n).f_value, 10, 300, 2876, 1, 21),
+        (lambda m, n: _mirror_F_rect(m, n)[0], 10, 300, 2876, 1, 20),
+        # A square's half sweep has k2 = 9 columns, fewer than its height:
+        # nothing repeats before column 16, so all 9 are stepped.
+        (lambda m, n: _mirror_F_rect(m, n)[0], 16, 16, 244, 9, 9),
+    ],
+    ids=["dp-10x300", "mirror-10x300", "mirror-16x16"],
+)
+def test_dp_sweeps_only_to_first_repeat(monkeypatch, solve, m, n, f_value, fewest, most):
     steps = []
     step = _Transfer.step
 
@@ -288,8 +300,32 @@ def test_dp_sweeps_only_to_first_repeat(monkeypatch):
         return step(self, val, column)
 
     monkeypatch.setattr(_Transfer, "step", counted)
-    assert dp_F_rect(10, 300).f_value == 2876
-    assert len(steps) <= 21
+    assert solve(m, n) == f_value
+    assert fewest <= len(steps) <= most
+
+
+# The repeat (c0, p, g) of each height: the slot vector after column c0 + p
+# is the one after c0 plus g.  The sweep keys from column max(2, m); each
+# case also shows that keying from column 2 finds the same repeat, so the
+# later start costs no column.
+REPEATS = {1: (2, 3, 3), 2: (2, 2, 4), 3: (10, 3, 8), 4: (16, 7, 26), 5: (30, 5, 23)}
+REPEATS.update(
+    (m, (c0, 5, 5 * m - 2))
+    for m, c0 in zip(range(6, 17), [11, 12, 14, 14, 15, 16, 15, 16, 18, 20, 21])
+)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_sweep_repeat_table(m):
+    c0, p, g = REPEATS[m]
+    values, repeat = _Transfer(m).sweep(c0 + p + 2)
+    assert repeat == (c0, p, g)
+    assert len(values) == c0 + p + 3 and values[c0 + p] is values[c0]
+    if c0 > 2:
+        # The interior vector after column c0 - 1 does not recur p columns
+        # later, so the repeat starts at c0 even when keyed from column 2.
+        before, after = values[c0 - 1], values[c0 - 1 + p]
+        assert [v - max(before) for v in before] != [v - max(after) for v in after]
 
 
 def test_dp_rejects_degenerate():
