@@ -226,9 +226,9 @@ def _solve_lattice(lattice: Lattice, method: str, brute_limit: int, dp_width: in
                 f"more than the DP width limit {dp_width}; raise --dp-width"
             )
         # The sweep crosses the shorter side; F is transpose-invariant.
+        result = solver.dp_F_rect(side, lattice.rows + lattice.cols - side, width_limit=dp_width)
         if lattice.rows == side:
-            return solver.dp_F_rect(side, lattice.cols, width_limit=dp_width)
-        result = solver.dp_F_rect(side, lattice.rows, width_limit=dp_width)
+            return result
         return dataclasses.replace(result, witness=transpose_set(result.witness))
     if lattice.vertex_count > brute_limit:
         advice = "raise --brute-limit"

@@ -55,17 +55,13 @@ vector after column c0 + p has the key of the one after c0, the vector
 after every later column j is that after c0 + (j - c0) % p plus
 g * ((j - c0) // p), where g is the difference of the two maxima (at
 m = 10, c0 = 15 and p = 5).  Only columns through c0 + p - 1 are kept,
-one ``array('i')`` each, and the sweep returns (c0, p, g), or (0, 1, 0)
-when nothing repeats.  ``dp_F_rect`` steps column n from the reduced
-vector of column n - 1 and adds g * ((n - 1 - c0) // p) to its maximum.
+one ``array('i')`` each, and the sweep returns (c0, p, g), or
+(count - 1, 1, 0) when nothing repeats, so it has stepped c0 + p columns
+either way.  ``dp_F_rect`` steps column n from the reduced vector of
+column n - 1 and adds g * ((n - 1 - c0) // p) to its maximum.
 
-``explored`` counts the transitions out of reached full states, summed
-over all n columns as a full sweep would make them, not over the columns
-actually swept.  Column 1 reaches every (0, C) and column 2 every
-valid pair, so it is fixed before the sweep starts:
-len(masks) + (n > 1) * P + max(n - 2, 0) * T, where P counts the valid
-pairs and T the valid (A, B, C) with A & C == 0 (one bitset over
-compat[B] per row gives the C that each A excludes).  Witnesses are
+``explored`` counts the slot values computed, len(canonical) for each
+of the c0 + p swept columns and the closing column.  Witnesses are
 rebuilt by a right-to-left walk that recomputes one back-pointer per
 column, the full predecessor with the largest value and the smallest
 A, exactly the choice a sweep over all states would store, and are
@@ -88,8 +84,7 @@ column k2 - 1 <= k, so g * ((k - c0) // p + (k2 - c0) // p) is added to
 the joined maximum.  The witness joins a walk from (A, B) over columns
 1..k with a mirrored walk from (B, A) over columns 1..k2 and is audited.
 ``solve`` keeps ``dp_F_rect``: the tests' reference sweep and the
-goldens pin its witness and ``explored``, and the mirror counts no
-``explored``.
+goldens pin its witness.
 
 Keying starts at column max(2, m): a key (maximum, shifted ``array``,
 bytes) costs a sixth of a column step at m = 16 (1.5 of 9.3 ms) and a
@@ -115,6 +110,14 @@ DP_WIDTH_LIMIT = 16
 
 @dataclass(frozen=True)
 class SolveResult:
+    """An exact F and an audited witness of it.
+
+    ``explored`` counts the search nodes entered for ``brute_force_F`` and
+    the slot values computed for ``dp_F_rect``.  ``elapsed`` is the wall
+    time in seconds from entry, after the limit checks, until the witness
+    is built, before its audit.
+    """
+
     f_value: int
     witness: tuple[Vertex, ...]
     explored: int
@@ -143,6 +146,7 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
             f"{count} vertices exceeds the brute-force limit {limit}; "
             "use dp_F_rect for rectangular grids or raise the limit"
         )
+    t0 = time.perf_counter()
     compiled = graph.compiled
     order = compiled.order
     weights = [1 + len(neighbours) for neighbours in compiled.adj]
@@ -158,8 +162,6 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     reach = [0] * (count + 1)
     for t in range(count - 1, -1, -1):
         reach[t] = reach[t + 1] | closed[t]
-
-    t0 = time.perf_counter()
 
     # The root (no vertex chosen, value 0) is the first optimum reached.
     best_value = 0
@@ -227,8 +229,8 @@ def _bits(mask: int) -> list[int]:
 class _Transfer:
     """The column transfer of a height-m grid, shared by both DPs.
 
-    ``masks`` are the spaced column masks and ``compat[B]`` the masks
-    allowed next to B, ascending.  ``slot_of[A][B]`` numbers the valid
+    ``rows_of`` maps each spaced column mask to its rows and ``compat[B]``
+    lists the masks allowed next to B, ascending.  ``slot_of[A][B]`` numbers the valid
     pair (A, B) by its reflection orbit and ``canonical`` lists each
     orbit's smaller pair in slot order.  ``steps`` holds, per middle mask
     B, the slots of B's full predecessors (A, B) ascending in A, the A
@@ -239,7 +241,7 @@ class _Transfer:
     def __init__(self, m: int):
         self.m = m
         full = (1 << m) - 1
-        masks = self.masks = _spaced_masks(m, full)
+        masks = _spaced_masks(m, full)
         self.rows_of = {M: _bits(M) for M in masks}
         # Masks allowed in the next column: picked rows differ by >= 2.  The
         # relation is symmetric, so compat[B] also lists the A that may
@@ -313,7 +315,8 @@ class _Transfer:
 
         Returns ``(values, (c0, p, g))``: entry c of ``values`` is one
         ``array('i')`` of the slot values after column c less
-        g * ((c - c0) // p), and ``(0, 1, 0)`` means nothing repeated.
+        g * ((c - c0) // p), and ``(count - 1, 1, 0)`` means nothing
+        repeated.  Either way c0 + p columns were stepped.
         """
         # Imported here, not at the top: loading the array extension adds
         # about 0.2 MB of resident memory to every process, also those that
@@ -340,7 +343,7 @@ class _Transfer:
                     values += [values[c0 + (j - c0) % p] for j in range(c, count + 1)]
                     return values, (c0, p, g)
             values.append(array("i", val))
-        return values, (0, 1, 0)
+        return values, (count - 1, 1, 0)
 
     def walk(self, values: list[Any], state: tuple[int, int]) -> list[int]:
         """Column masks of an optimal path that ends in ``state`` after
@@ -378,26 +381,6 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
     m, n = rows, cols
     t0 = time.perf_counter()
     transfer = _Transfer(m)
-    masks, compat, rows_of = transfer.masks, transfer.compat, transfer.rows_of
-
-    # Column 1 leaves (0, 0) for every (0, C) and column 2 leaves each (0, B)
-    # for every (B, C), so every later column leaves every state (A, B) for
-    # the (B, C) with A & C == 0.  by_row[r] marks, as bits over compat[B],
-    # the C holding row r; the OR over A's rows marks the C that A excludes.
-    explored = len(masks) + (n > 1) * sum(map(len, compat.values()))
-    if n > 2:
-        triples = 0
-        for Cs in compat.values():
-            by_row = [0] * m
-            for k, C in enumerate(Cs):
-                for r in rows_of[C]:
-                    by_row[r] |= 1 << k
-            for A in Cs:
-                excluded = 0
-                for r in rows_of[A]:
-                    excluded |= by_row[r]
-                triples += len(Cs) - excluded.bit_count()
-        explored += (n - 2) * triples
 
     # The closing column n has no column to its right.
     values, (c0, p, g) = transfer.sweep(n - 1)
@@ -410,6 +393,7 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
     state = transfer.canonical[last.index(top)]
     witness = transfer.witness(transfer.walk(values, state))
     elapsed = time.perf_counter() - t0
+    explored = len(transfer.canonical) * (c0 + p + 1)
 
     report = audit(rect(m, n), witness)
     if not report.is_two_packing or report.influence != best_value:

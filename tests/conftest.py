@@ -125,7 +125,7 @@ def exhaustive_max_influence(graph):
 
 
 def reference_dp_rect(m, n):
-    """Exact (F, witness, explored) of the m x n grid by the dict-keyed
+    """Exact (F, witness) of the m x n grid by the dict-keyed
     column sweep over sorted (A, B) states: the loop form of ``dp_F_rect``,
     kept as the oracle for its values, witnesses and tie-breaking."""
     def bits(mask):
@@ -147,7 +147,6 @@ def reference_dp_rect(m, n):
         ]
         return {C: sum(per_row[r] for r in bits(C)) for C in masks}
 
-    explored = 0
     states = {(0, 0): 0}
     back_pointers = []
     for c in range(1, n + 1):
@@ -159,7 +158,6 @@ def reference_dp_rect(m, n):
             for C in compat[B]:
                 if A & C:
                     continue
-                explored += 1
                 value = base + cw[C]
                 key = (B, C)
                 if value > nxt.get(key, -1):
@@ -179,7 +177,7 @@ def reference_dp_rect(m, n):
     witness = normalize_set(
         (r + 1, c) for c in range(1, n + 1) for r in bits(column_masks[c])
     )
-    return best_value, witness, explored
+    return best_value, witness
 
 
 def _recursive_search(graph, bound):

@@ -169,16 +169,16 @@ GOLDEN = {
     "solve-rect-torus:5x5-auto": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
     "solve-rect-torus:5x5-brute": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
     "solve-rect-torus:5x5-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "solve-rect:16x2-auto": (0, "4af39e67f4e9e2c5b8e11cd098988eafa9cf25d5155213d4db3f30504a1a2ef7"),
-    "solve-rect:16x2-dp": (0, "4af39e67f4e9e2c5b8e11cd098988eafa9cf25d5155213d4db3f30504a1a2ef7"),
-    "solve-rect:20x3-auto": (0, "8718913d249c45210a095e94d7cd019e589a62dad4f829388cef40b3c4b724d0"),
-    "solve-rect:20x3-dp": (0, "8718913d249c45210a095e94d7cd019e589a62dad4f829388cef40b3c4b724d0"),
-    "solve-rect:4x9-auto": (0, "dd832c94507c3514443798f473b0ac3597837600d7d2cf616a3ce3acbbf59f87"),
+    "solve-rect:16x2-auto": (0, "8a78324f0e4259884810e6191a59531ee362059a19dafdb19bcaeed868568045"),
+    "solve-rect:16x2-dp": (0, "8a78324f0e4259884810e6191a59531ee362059a19dafdb19bcaeed868568045"),
+    "solve-rect:20x3-auto": (0, "9b38c762daa748da7db3d1aeaf91f6befb07b1b0be7e379d66f5fa744d6524a0"),
+    "solve-rect:20x3-dp": (0, "9b38c762daa748da7db3d1aeaf91f6befb07b1b0be7e379d66f5fa744d6524a0"),
+    "solve-rect:4x9-auto": (0, "9573ae8e46615da5be8e8d09e455dddea00692d5fc4dce82a0373ecf07f1c7e8"),
     "solve-rect:4x9-brute": (0, "158baac52f659c4758c5311746721ab85af1464432ddc1c1674663df24ac12b2"),
-    "solve-rect:4x9-dp": (0, "dd832c94507c3514443798f473b0ac3597837600d7d2cf616a3ce3acbbf59f87"),
-    "solve-rect:5x5-auto": (0, "e22e5ea8a32fe83c883bc662ca06c272113487f5dacb19c3023445a814b7df4b"),
+    "solve-rect:4x9-dp": (0, "9573ae8e46615da5be8e8d09e455dddea00692d5fc4dce82a0373ecf07f1c7e8"),
+    "solve-rect:5x5-auto": (0, "903b15f8d82f2dc7bb6fc5a0a1b2534ff20bb97e8cdd20933a9e8f182d2fc381"),
     "solve-rect:5x5-brute": (0, "3b1a29ce29c93ec28c51cc3701b9b8731886e2b8b757836c158972d87204d588"),
-    "solve-rect:5x5-dp": (0, "e22e5ea8a32fe83c883bc662ca06c272113487f5dacb19c3023445a814b7df4b"),
+    "solve-rect:5x5-dp": (0, "903b15f8d82f2dc7bb6fc5a0a1b2534ff20bb97e8cdd20933a9e8f182d2fc381"),
     "solve-rect:8x8-brute": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "solve-tri-torus:4x4-auto": (0, "e01f377781e98234e4398243a8ccf80880eabc68ee3ad15a5ff4b3104ccf3cc1"),
     "solve-tri-torus:4x4-brute": (0, "e01f377781e98234e4398243a8ccf80880eabc68ee3ad15a5ff4b3104ccf3cc1"),
