@@ -267,8 +267,9 @@ def test_dp_matches_reference_sweep(m, n):
 
 def test_dp_full_height_square():
     # F is taken from reference_dp_rect(16, 16), which is too slow to rerun
-    # here.  Nothing repeats before column 21 at height 16, so the 15 swept
-    # columns and the closing one each compute all 12 693 slot values.
+    # here.  Nothing repeats before column 21 at height 16, so each of the 16
+    # columns, the two built in closed form, the 13 stepped and the closing
+    # one, produces all 12 693 slot values.
     result = dp_F_rect(16, 16)
     assert (result.f_value, result.explored) == (244, 12693 * 16)
 
@@ -282,14 +283,15 @@ def test_dp_long_strips_match_closed_forms():
     "solve,m,n,f_value,fewest,most",
     [
         # At height 10 the slot vector after column 20 repeats the one after
-        # column 15, so the sweep stops there; dp_F_rect then steps once more
-        # for column n, while the mirror joins the reduced vectors.  Only
-        # dp_F_rect counts explored: its 335 slot values per step taken.
-        (lambda m, n: attrgetter("f_value", "explored")(dp_F_rect(m, n)), 10, 300, 2876, 1, 21),
-        (lambda m, n: (_mirror_F_rect(m, n)[0], None), 10, 300, 2876, 1, 20),
+        # column 15, so the sweep stops there: columns 1 and 2 are built in
+        # closed form and 3..20 stepped.  dp_F_rect then steps once more for
+        # column n, while the mirror joins the reduced vectors.  Only
+        # dp_F_rect counts explored: its 335 slot values per column produced.
+        (lambda m, n: attrgetter("f_value", "explored")(dp_F_rect(m, n)), 10, 300, 2876, 1, 19),
+        (lambda m, n: (_mirror_F_rect(m, n)[0], None), 10, 300, 2876, 1, 18),
         # A square's half sweep has k2 = 9 columns, fewer than its height:
-        # nothing repeats before column 16, so all 9 are stepped.
-        (lambda m, n: (_mirror_F_rect(m, n)[0], None), 16, 16, 244, 9, 9),
+        # nothing repeats before column 16, so columns 3..9 are stepped.
+        (lambda m, n: (_mirror_F_rect(m, n)[0], None), 16, 16, 244, 7, 7),
     ],
     ids=["dp-10x300", "mirror-10x300", "mirror-16x16"],
 )
@@ -306,7 +308,21 @@ def test_dp_sweeps_only_to_first_repeat(monkeypatch, solve, m, n, f_value, fewes
     assert value == f_value
     assert fewest <= len(steps) <= most
     if explored is not None:
-        assert explored == len(_Transfer(m).canonical) * len(steps)
+        # The two closed-form columns are produced without a step.
+        assert explored == len(_Transfer(m).canonical) * (len(steps) + 2)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_sweep_first_columns_match_steps(m):
+    # Columns 1 and 2 are built in closed form; stepping them from the start
+    # vector gives the same arrays, unreached entries included.
+    transfer = _Transfer(m)
+    values, _ = transfer.sweep(2)
+    start = values[0]
+    assert start[0] == 0 and all(v == start[1] < 0 for v in start[1:])
+    first = transfer.step(start, transfer.weights(False, True))
+    second = transfer.step(first, transfer.weights(True, True))
+    assert list(values[1]) == first and list(values[2]) == second
 
 
 # The repeat (c0, p, g) of each height: the slot vector after column c0 + p
