@@ -7,21 +7,26 @@ separators, and an array (a list or a tuple, as in the ``json`` module) or
 object kept on one line when that line fits in 76 columns after its
 indent; otherwise each item gets its own line, indented two more spaces.
 The two array shapes printed in bulk, a coordinate ``[i, j]`` and a
-coverage pair ``[[i, j], c]``, are formatted directly.  ``render --format
-svg`` is written row by row as it is drawn.
+coverage pair ``[[i, j], c]``, are formatted by one comprehension per
+array rather than a call per item.  ``render --format svg`` is written row
+by row as it is drawn.  The cyclic collector is paused while a command
+runs (see ``main``).
 
 Exit codes: 0 success (for ``verify``: the set is an efficient dominating
 set), 1 a valid 2-packing that leaves voids (or a construction whose
 audit missed its contract), 2 usage or parse errors, 3 the set is not a
 2-packing, 4 an internal error (a bug in effdom, reported on one stderr
-line).
+line), 141 stdout closed by its reader before the output ended (as for a
+writer killed by SIGPIPE; nothing is printed on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
+import os
 import sys
 from typing import Iterable
 
@@ -42,31 +47,22 @@ EXIT_VOIDS = 1
 EXIT_USAGE = 2
 EXIT_CONFLICTS = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 WIDTH = 76
 _encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+_ARRAYS = (list, tuple)
 
 
 def _int_list_line(obj) -> str | None:
     """The one-line form of an array (a list or a tuple) that nests only
     exact ints and arrays; None for any other value.
 
-    The two shapes printed in bulk are formatted directly: a pair of ints
-    (a coordinate) and a pair of (pair of ints, int) (a coverage item);
-    any other array goes through the item loop.  ``type(x) is int`` leaves
-    bools, an int subclass, to the encoder, which prints them as true/false.
+    ``type(x) is int`` leaves bools, an int subclass, to the encoder, which
+    prints them as true/false.
     """
     if type(obj) is not list and type(obj) is not tuple:
         return None
-    if len(obj) == 2:
-        a, c = obj
-        if type(c) is int:
-            if type(a) is int:
-                return f"[{a}, {c}]"
-            if (type(a) is tuple or type(a) is list) and len(a) == 2:
-                i, j = a
-                if type(i) is int and type(j) is int:
-                    return f"[[{i}, {j}], {c}]"
     parts = []
     for x in obj:
         part = str(x) if type(x) is int else _int_list_line(x)
@@ -74,6 +70,39 @@ def _int_list_line(obj) -> str | None:
             return None
         parts.append(part)
     return "[" + ", ".join(parts) + "]"
+
+
+def _bulk_lines(items) -> list:
+    """The one-line form of each item of an array that is a coordinate
+    ``[i, j]`` or a coverage pair ``[[i, j], c]``, the two shapes printed in
+    bulk; None for any other item, and for every item when one does not
+    unpack as a pair.
+
+    The first item picks the shape, and one comprehension formats the whole
+    array with no call per item.  Each item is unpacked first and checked
+    after: only a list or tuple of exact ints passes, so a dict, whose keys
+    unpack, and bools, an int subclass, are left to the encoder.
+    """
+    if not items:
+        return []
+    head = items[0]
+    try:
+        if type(head) in _ARRAYS and len(head) == 2 and type(head[0]) in _ARRAYS:
+            return [
+                f"[[{i}, {j}], {c}]"
+                if type(c) is int and type(i) is int and type(j) is int and type(v) in _ARRAYS and type(a) in _ARRAYS
+                else None
+                for v in items
+                for a, c in (v,)
+                for i, j in (a,)
+            ]
+        return [
+            f"[{i}, {j}]" if type(i) is int and type(j) is int and type(v) in _ARRAYS else None
+            for v in items
+            for i, j in (v,)
+        ]
+    except (TypeError, ValueError):
+        return [None] * len(items)
 
 
 def _one_line(obj) -> str:
@@ -88,7 +117,7 @@ def _least_width(obj) -> int:
     # 3n (one each, ", " between, brackets), an object of n keys 7n.
     if isinstance(obj, dict):
         return 7 * len(obj)
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, _ARRAYS):
         return 3 * len(obj)
     return 1
 
@@ -101,15 +130,15 @@ def _dumps(obj, pad: str = "") -> str:
     encoder writes in one piece, must also fit with each value at its own
     least width (a key takes at least six characters besides its value).
     Otherwise it is laid out item by item without being encoded.  There,
-    each item of an array is first written by ``_int_list_line``, which
-    formats a coordinate ``[i, j]`` or a coverage pair ``[[i, j], c]``
-    directly; the common case, every item int-only and fitting its line,
-    is checked for the whole array at once.  Any other item, or one too
-    wide, is laid out by ``_dumps`` in turn.
+    the items of an array are first written by ``_bulk_lines``, which
+    formats coordinates ``[i, j]`` and coverage pairs ``[[i, j], c]`` in
+    one comprehension; the common case, every item such a pair that fits
+    its line, needs nothing more.  Any other item, or one too wide, is laid
+    out by ``_dumps`` in turn.
     """
     room = WIDTH - len(pad)
     is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))):
+    if not (is_dict or isinstance(obj, _ARRAYS)):
         return _one_line(obj)
     fits = _least_width(obj) <= room
     if fits and is_dict:
@@ -123,12 +152,17 @@ def _dumps(obj, pad: str = "") -> str:
         items = [f"{inner}{_encode(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     room -= 2  # an item's line starts two spaces further in
-    lines = list(map(_int_list_line, obj))
-    if None in lines or max(map(len, lines), default=0) > room:
-        lines = [
-            _dumps(v, inner) if line is None or len(line) > room else line
-            for v, line in zip(obj, lines)
-        ]
+    lines = _bulk_lines(obj)
+    # Any other item, or one too wide, is laid out by _dumps, from the first
+    # such item on; in augment's arrays that is the pendant tail.
+    if max(map(len, filter(None, lines)), default=0) > room:
+        start = 0
+    else:
+        start = lines.index(None) if None in lines else len(lines)
+    lines[start:] = [
+        line if line is not None and len(line) <= room else _dumps(v, inner)
+        for v, line in zip(obj[start:], lines[start:])
+    ]
     body = inner + (",\n" + inner).join(lines) if lines else ""
     return f"[\n{body}\n{pad}]"
 
@@ -400,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         "constructions, audits, exact solvers and periodic motifs.",
         epilog="Exit codes: 0 ok / efficient dominating set; 1 valid 2-packing "
         "with voids; 2 usage or parse error; 3 not a 2-packing; "
-        "4 internal error.",
+        "4 internal error; 141 stdout closed by its reader before the output ended.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -456,11 +490,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reader_gone() -> int:
+    """Exit code for a stdout whose reader left early: the output just ends.
+
+    What stdout still buffers is sent to /dev/null, so the flush at
+    interpreter exit cannot fail again and print "Exception ignored".
+    """
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return EXIT_BROKEN_PIPE
+
+
 def main(argv: Iterable[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
+    # The cyclic collector is paused while the command runs.  Its tables
+    # (vertex ids, neighbour tuples, coverage, output lines) hold no
+    # reference cycles, so a pass would only walk them, hundreds of times
+    # per command on a large board, and find nothing to free.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early is met here, not at exit
+        return code
+    except BrokenPipeError:
+        return _reader_gone()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -469,6 +528,9 @@ def main(argv: Iterable[str] | None = None) -> int:
         # ("valid 2-packing with voids") and off the traceback path.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -93,15 +93,17 @@ def svg_lines(
         end = start + lattice._row_width(i)
         rows.append(range(start, end))
         start = end
-    # Skip wrap-around edges: only draw neighbours that are geometrically close.
+    # On a torus, skip wrap-around edges: only draw neighbours that are
+    # geometrically close.  A bounded board has no wrap edges to skip.
     reach = 1.8 * CELL
+    torus = lattice.torus
     for row in rows:
         lines = []
         for t in row:
             ux, uy = pos[t]
             x1, y1 = labels[t]
             for s in graph.adj[t]:
-                if s > t and math.hypot(pos[s][0] - ux, pos[s][1] - uy) <= reach:
+                if s > t and (not torus or math.hypot(pos[s][0] - ux, pos[s][1] - uy) <= reach):
                     x2, y2 = labels[s]
                     lines.append(
                         f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#555" stroke-width="1"/>'

@@ -1,5 +1,9 @@
+import gc
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import warnings
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effdom
 from conftest import reference_dumps
 from effdom import solver
 from effdom.cli import _dumps, main
@@ -277,16 +282,82 @@ def test_solve_bad_descriptor(capsys):
     assert code == 2 and "descriptor" in err
 
 
-def test_internal_error_exit_code(capsys, monkeypatch):
-    def broken(graph, limit):
-        raise AssertionError("brute-force witness failed its audit")
+def _broken(graph, limit):
+    raise AssertionError("brute-force witness failed its audit")
 
-    monkeypatch.setattr(solver, "brute_force_F", broken)
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "brute_force_F", _broken)
     code, out, err = run(capsys, "solve", "tri:3", "--method", "brute")
     assert code == 4
     assert out == ""
     assert err == "internal error: AssertionError: brute-force witness failed its audit\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(("solve", "rect:3x3"), 0), (("solve", "blob:9x9"), 2), (("solve", "tri:3", "--method", "brute"), 4)],
+    ids=["ok", "usage", "internal"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+def test_main_restores_collector(capsys, monkeypatch, argv, code, enabled):
+    monkeypatch.setattr(solver, "brute_force_F", _broken)
+    was = gc.isenabled()
+    switch = {True: gc.enable, False: gc.disable}
+    try:
+        switch[enabled]()
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        switch[was]()
+
+
+def _knight_file(tmp_path, n):
+    path = tmp_path / f"knight{n}.json"
+    members = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if (2 * i + j) % 5 == 3]
+    path.write_text(json.dumps({"lattice": f"rect:{n}x{n}", "set": members}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "knight", "--n", "{n}"),
+        ("verify", "@"),
+        ("augment", "@"),
+        ("render", "--format", "svg", "@"),
+        ("motif", "--lattice", "rect", "--window", "{n}x{n}"),
+        ("solve", "rect:10x{n}"),
+    ],
+    ids=["construct", "verify", "augment", "render", "motif", "solve"],
+)
+def test_commands_leave_no_board_sized_cycles(capsys, tmp_path, argv):
+    # main pauses the cyclic collector, which is safe only if no command
+    # leaves cyclic garbage that grows with the board: what is left (the
+    # argument parser) must be the same on a 10 x 10 and a 60 x 60 board.
+    # The first run only fills the caches a first call in a process fills.
+    found = []
+    for n in (10, 10, 60):
+        path = _knight_file(tmp_path, n)
+        gc.collect()
+        assert main([path if a == "@" else a.format(n=n) for a in argv]) in (0, 1)
+        found.append(gc.collect())
+        capsys.readouterr()
+    assert found[1] == found[2]
+
+
+def test_closed_stdout_ends_output_quietly(tmp_path):
+    # A reader that leaves early (`effdom render ... | head -c 100`) ends
+    # the output: exit 141 as for SIGPIPE, and nothing on stderr.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(effdom.__file__).parents[1])}
+    argv = [sys.executable, "-m", "effdom", "render", "--format", "svg", _knight_file(tmp_path, 250)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def _warning_lines(err):
@@ -758,6 +829,51 @@ def test_dumps_tuple_items():
             got = _dumps(obj, pad)
             assert got == reference_dumps(obj, pad)
             assert ("[[1, 2], 3]" in got) == (room == 11)
+
+
+class _Int(int):
+    """An int subclass: the encoder, not the bulk path, must print it."""
+
+
+_PENDANT = {"attached_to": [1, 2], "pendant": 0}
+# Per bulk shape, items that must leave the one-comprehension path.
+_ODD_ITEMS = {
+    "coordinate": {
+        "bool": [True, 2],
+        "int-subclass": [_Int(7), 2],
+        "float": [1.5, 2],
+        "3-array": [1, 2, 3],
+        "coverage-pair": [[1, 2], 3],
+        "pendant": _PENDANT,
+        "int-keyed-object": {1: 2, 3: 4},
+    },
+    "coverage": {
+        "bool": [[True, 2], 3],
+        "int-subclass": [[1, 2], _Int(3)],
+        "float": [[1, 2], 3.0],
+        "3-array": [[1, 2, 3], 4],
+        "coordinate": [1, 2],
+        "pendant": [_PENDANT, 1],
+        "int-keyed-object": [{1: 2, 3: 4}, 5],
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_ODD_ITEMS))
+def test_dumps_late_odd_items(shape):
+    # Long arrays of one bulk shape whose odd items come late: one item
+    # near the end, or a tail of them as in augment's "coverage" and "eds".
+    # Each as lists and as tuples, with the bulk items at the width edges.
+    for width in range(0, 41, 5):
+        pad = " " * width
+        room = 76 - width - 2
+        for length in (room, room + 1):
+            bulk = [[1, 10 ** (length - 11)], 2] if shape == "coverage" else [10 ** (length - 6), 3]
+            assert len(json.dumps(bulk, separators=(", ", ": "))) == length
+            for odd in _ODD_ITEMS[shape].values():
+                for obj in ([bulk] * 40 + [odd] + [bulk] * 2, [bulk] * 40 + [odd] * 3):
+                    for value in (obj, _deep_tuple(obj)):
+                        assert _dumps(value, pad) == reference_dumps(value, pad)
 
 
 def test_dumps_real_payloads(capsys, tmp_path):
