@@ -49,14 +49,12 @@ plus that of C.  Both vectors are built in closed form, equal entry by
 entry (unreached entries too) to the stepped ones, and every later
 column is stepped.
 
-Both DPs run one sweep, ``_Transfer.sweep(count)``, over columns
-1..count, each weighted as if a column lay to its right.  ``dp_F_rect``
-ends it with its closing column n, which has none; ``_mirror_F_rect``
-with a join in the middle.  The sweep stops once the slot vector
-repeats (max-plus cyclicity; Baccelli, Cohen, Olsder & Quadrat,
-*Synchronization and Linearity*, 1992).  Columns 2..count apply one
-max-plus operator T to a vector in which every state is reached (column
-2 by the closed form above, 3..count by a step), and
+Every board runs one sweep, ``_Transfer.sweep(count)``, over columns
+1..count, each weighted as if a column lay to its right.  The sweep stops
+once the slot vector repeats (max-plus cyclicity; Baccelli, Cohen, Olsder
+& Quadrat, *Synchronization and Linearity*, 1992).  Columns 2..count
+apply one max-plus operator T to a vector in which every state is
+reached (column 2 by the closed form above, 3..count by a step), and
 T(v + g) = T(v) + g for a constant g.  After each column from max(2, m)
 to count - 1 the vector less its maximum is keyed in a dict; when the
 vector after column c0 + p has the key of the one after c0, the vector
@@ -66,38 +64,42 @@ m = 10, c0 = 15 and p = 5).  Only columns through c0 + p - 1 are kept,
 one ``array('i')`` each, and the sweep returns (c0, p, g), or
 (count - 1, 1, 0) when nothing repeats, so it has produced the vectors
 of c0 + p columns either way, columns 1 and 2 in closed form and the
-rest by a step.  ``dp_F_rect`` steps column n from the reduced vector of
-column n - 1 and adds g * ((n - 1 - c0) // p) to its maximum.
+rest by a step.  ``explored`` counts those slot values, len(canonical)
+for each of the c0 + p columns.
 
-``explored`` counts the slot values produced, len(canonical) for each
-column whose vector is produced: the c0 + p swept columns, two built in
-closed form and the rest stepped, and the closing column.  Witnesses
-are rebuilt by a right-to-left walk that recomputes one back-pointer per
-column, the full predecessor with the largest value and the smallest
-A, exactly the choice a sweep over all states would store, and are
-audited before returning.  Past c0 the walk reads the reduced vectors:
-a constant added to a column changes neither its largest value's
-position nor the smallest-A tie-break, so the witness is the full
-sweep's.  Those columns share p kept arrays, so a back-pointer, once
-computed for a state and an array, is looked up, not recomputed (the
-walk of ``dp_F_rect(1, 200000)`` falls from 0.30-0.44 to 0.07-0.09 s
-CPU, 2-vCPU box).
+``_dp_rect(m, n, k)`` joins the sweep at columns k - 1 and k, for any
+1 <= k <= n.  A grid is left-right symmetric, so its columns k - 1..n
+read from right to left are columns 1..k2 of the same sweep, where
+k2 = n - k + 2.  One sweep over columns 1..max(k, k2) gives both
+vectors, and F is the largest fwd_k[A, B] + fwd_k2[B, A] - w(A) - w(B)
+over the canonical pairs, where w weights a mask with a column on each
+side.  Both parts count the shared columns k - 1 and k, so their weights
+are taken off once.  Each part weights a column as interior except its
+own column 1, which is a board edge, and a mask's weight is linear in
+its neighbouring columns, so the difference is exact at the edges too.
+Columns k - 2 and k + 1 are three apart, so the join needs no other
+constraint.  Column j's kept vector is less g * max(0, (j - c0) // p),
+and both shifts are added to the joined maximum.  The witness joins a
+walk from (A, B) over columns 1..k with a mirrored walk from (B, A) over
+columns 1..k2 and is audited.
 
-``check_conjecture`` sweeps only about half the columns
-(``_mirror_F_rect``).  A grid is left-right symmetric, so its columns
-k - 1..n read from right to left are columns 1..k2 of the same sweep,
-where k = (n + 2) // 2 and k2 = n - k + 2 (k2 = k for even n, k + 1 for
-odd n).  One sweep over columns 1..k2 gives both vectors, and F is the
-largest fwd_k[A, B] + fwd_k2[B, A] - w(A) - w(B) over the canonical
-pairs.  Both parts count the shared columns k - 1 and k, so their
-weights are taken off once; for n >= 4 both are interior, so w is the
-weight with a column on each side.  Columns k - 2 and k + 1 are three
-apart, so the join needs no other constraint.  A repeat comes before
-column k2 - 1 <= k, so g * ((k - c0) // p + (k2 - c0) // p) is added to
-the joined maximum.  The witness joins a walk from (A, B) over columns
-1..k with a mirrored walk from (B, A) over columns 1..k2 and is audited.
-``solve`` keeps ``dp_F_rect``: the tests' reference sweep and the
-goldens pin its witness.
+``dp_F_rect`` joins at k = n.  There fwd_2[B, A] = edge(B) + w(A), with
+edge(B) the weight of B with a column on one side, so for every reached
+state the join equals the closing column n stepped from column n - 1:
+F, the first maximal slot and the walk are those of a sweep over every
+column, which the tests' reference sweep and the goldens pin.
+``check_conjecture`` joins at k = (n + 2) // 2, so it sweeps only about
+half the columns (k2 = k for even n, k + 1 for odd n).
+
+Witnesses are rebuilt by a right-to-left walk that recomputes one
+back-pointer per column, the full predecessor with the largest value and
+the smallest A, exactly the choice a sweep over all states would store.
+Past c0 the walk reads the reduced vectors: a constant added to a column
+changes neither its largest value's position nor the smallest-A
+tie-break, so the witness is the full sweep's.  Those columns share p
+kept arrays, so a back-pointer, once computed for a state and an array,
+is looked up, not recomputed (the walk of ``dp_F_rect(1, 200000)`` falls
+from 0.30-0.44 to 0.07-0.09 s CPU, 2-vCPU box).
 
 Keying starts at column max(2, m): a key (maximum, shifted ``array``,
 bytes) costs a sixth of a column step at m = 16 (1.5 of 9.3 ms) and a
@@ -126,10 +128,10 @@ class SolveResult:
     """An exact F and an audited witness of it.
 
     ``explored`` counts the search nodes entered for ``brute_force_F``.
-    For ``dp_F_rect`` it counts the slot values produced, len(canonical)
-    for each column whose vector is produced: columns 1 and 2, built in
-    closed form, every later swept column, stepped, and the closing
-    column.  ``elapsed`` is the wall time in seconds from entry, after the
+    For ``dp_F_rect`` it counts the slot values the sweep produced,
+    len(canonical) for each column whose vector is produced: columns 1
+    and 2, built in closed form, and every later swept column, stepped.
+    ``elapsed`` is the wall time in seconds from entry, after the
     limit checks, until the witness is built, before its audit.
     """
 
@@ -211,7 +213,9 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
             t += 1
         explored += t
 
-    witness = normalize_set(v for t, v in enumerate(order) if best_chosen >> t & 1)
+    # Compiled order is row-major with pendants last, the order of
+    # normalize_set, so the members are listed as read.
+    witness = tuple(v for t, v in enumerate(order) if best_chosen >> t & 1)
     elapsed = time.perf_counter() - t0
     report = audit(graph, witness)
     if not report.is_two_packing or report.influence != best_value:
@@ -242,7 +246,7 @@ def _bits(mask: int) -> list[int]:
 
 
 class _Transfer:
-    """The column transfer of a height-m grid, shared by both DPs.
+    """The column transfer of a height-m grid.
 
     ``rows_of`` maps each spaced column mask to its rows and ``compat[B]``
     lists the masks allowed next to B, ascending.  ``slot_of[A][B]`` numbers the valid
@@ -415,64 +419,45 @@ def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveR
             f"{rows} rows exceeds the DP width limit {width_limit}; "
             "swap the dimensions (F is transpose-invariant) or raise the limit"
         )
-    m, n = rows, cols
+    return _dp_rect(rows, cols, cols)
+
+
+def _dp_rect(m: int, n: int, k: int) -> SolveResult:
+    """Exact F and an audited witness of the bounded m x n grid from one
+    sweep whose vectors are joined at columns k - 1 and k, 1 <= k <= n
+    (see the module docstring)."""
+    # Building the board checks MAX_VERTICES before any column is swept.
+    board = rect(m, n)
     t0 = time.perf_counter()
-    transfer = _Transfer(m)
-
-    # The closing column n has no column to its right.
-    values, (c0, p, g) = transfer.sweep(n - 1)
-    last = transfer.step(values[n - 1], transfer.weights(n > 1, False))
-    values.append(last)
-    top = max(last)
-    best_value = top + g * ((n - 1 - c0) // p)
-    # The canonical pair is the smaller of its orbit, so the first maximal
-    # slot holds the first maximal pair in sorted order.
-    state = transfer.canonical[last.index(top)]
-    witness = transfer.witness(transfer.walk(values, state))
-    elapsed = time.perf_counter() - t0
-    explored = len(transfer.canonical) * (c0 + p + 1)
-
-    report = audit(rect(m, n), witness)
-    if not report.is_two_packing or report.influence != best_value:
-        raise AssertionError("DP witness failed its audit")
-    return SolveResult(f_value=best_value, witness=witness, explored=explored, elapsed=elapsed)
-
-
-def _mirror_F_rect(rows: int, cols: int) -> tuple[int, tuple[Vertex, ...]]:
-    """Exact F and an audited witness of the bounded rows x cols grid,
-    cols >= 4, from one sweep over about half the columns (stopped at the
-    repeat on long strips) whose vectors are joined in the middle."""
-    if cols < 4:
-        # Below 4 columns a shared middle column lies on the boundary.
-        raise ValueError(f"the mirror sweep needs at least 4 columns, got {cols}")
-    m, n = rows, cols
     transfer = _Transfer(m)
     canonical, slot_of = transfer.canonical, transfer.slot_of
     # The left part is columns 1..k; the right part, columns k - 1..n read
     # from right to left, is columns 1..k2 of the same sweep.
-    k = (n + 2) // 2
     k2 = n - k + 2
-    values, (c0, p, g) = transfer.sweep(k2)
-    # Both parts count the shared columns k - 1 and k, which are interior.
-    shared = transfer.mask_weights(True, True)
+    values, (c0, p, g) = transfer.sweep(max(k, k2))
+    # Both parts count the shared columns k - 1 and k; each weights them as
+    # interior unless they are its column 1, a board edge.
+    w = transfer.mask_weights(True, True)
     fwd, bwd = values[k], values[k2]
-    joined = [
-        fwd[s] + bwd[slot_of[B][A]] - shared[A] - shared[B] for s, (A, B) in enumerate(canonical)
-    ]
+    joined = [fwd[s] + bwd[slot_of[B][A]] - w[A] - w[B] for s, (A, B) in enumerate(canonical)]
     top = max(joined)
+    # The canonical pair is the smaller of its orbit, so the first maximal
+    # slot holds the first maximal pair in sorted order.
     A, B = canonical[joined.index(top)]
-    best_value = top + g * ((k - c0) // p + (k2 - c0) // p)
+    best_value = top + g * (max(0, (k - c0) // p) + max(0, (k2 - c0) // p))
 
     # The left walk gives columns 0..k; the right walk, reversed, gives
     # columns k - 1..n, so the left's last two columns are dropped.
     left = transfer.walk(values[: k + 1], (A, B))
     right = transfer.walk(values[: k2 + 1], (B, A))
     witness = transfer.witness(left[: k - 1] + right[:0:-1])
+    elapsed = time.perf_counter() - t0
+    explored = len(canonical) * (c0 + p)
 
-    report = audit(rect(m, n), witness)
+    report = audit(board, witness)
     if not report.is_two_packing or report.influence != best_value:
-        raise AssertionError("mirror DP witness failed its audit")
-    return best_value, witness
+        raise AssertionError("DP witness failed its audit")
+    return SolveResult(f_value=best_value, witness=witness, explored=explored, elapsed=elapsed)
 
 
 # -- conjecture table ---------------------------------------------------------
@@ -492,14 +477,14 @@ def check_conjecture(
     """Compare the DP value of each n x n grid against the conjectured F,
     the bound ``lower_bound_F(n)``.
 
-    The DP value comes from the mirror's half sweep, which keys no slot
-    vector on a square, and is backed by an audited witness.  Squares wider
-    than the DP limit are reported with ``dp_value=None`` (unverified),
-    never guessed.  The same rows give the void view: n^2 - conjectured is
-    the predicted void count and n^2 - dp_value the exact one, so
-    ``matches`` holds in both views at once.  A range whose largest square
-    has more than ``MAX_VERTICES`` vertices is rejected before any square is
-    solved.
+    The DP value comes from a sweep over about half the columns joined in
+    the middle, which keys no slot vector on a square, and is backed by an
+    audited witness.  Squares wider than the DP limit are reported with
+    ``dp_value=None`` (unverified), never guessed.  The same rows give the
+    void view: n^2 - conjectured is the predicted void count and
+    n^2 - dp_value the exact one, so ``matches`` holds in both views at
+    once.  A range whose largest square has more than ``MAX_VERTICES``
+    vertices is rejected before any square is solved.
     """
     if hi > 0 and hi * hi > MAX_VERTICES:
         raise ValueError(
@@ -509,7 +494,7 @@ def check_conjecture(
     for n in range(lo, hi + 1):
         target = lower_bound_F(n)
         if n <= width_limit:
-            value = _mirror_F_rect(n, n)[0]
+            value = _dp_rect(n, n, (n + 2) // 2).f_value
             rows.append(ConjectureRow(n, target, value, value == target))
         else:
             rows.append(ConjectureRow(n, target, None, None))

@@ -169,10 +169,10 @@ GOLDEN = {
     "solve-rect-torus:5x5-auto": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
     "solve-rect-torus:5x5-brute": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
     "solve-rect-torus:5x5-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "solve-rect:16x2-auto": (0, "8a78324f0e4259884810e6191a59531ee362059a19dafdb19bcaeed868568045"),
-    "solve-rect:16x2-dp": (0, "8a78324f0e4259884810e6191a59531ee362059a19dafdb19bcaeed868568045"),
-    "solve-rect:20x3-auto": (0, "9b38c762daa748da7db3d1aeaf91f6befb07b1b0be7e379d66f5fa744d6524a0"),
-    "solve-rect:20x3-dp": (0, "9b38c762daa748da7db3d1aeaf91f6befb07b1b0be7e379d66f5fa744d6524a0"),
+    "solve-rect:16x2-auto": (0, "211063d98ce87be13eb94cde85ebb8b23824aa8b1df34420363c8370ce295020"),
+    "solve-rect:16x2-dp": (0, "211063d98ce87be13eb94cde85ebb8b23824aa8b1df34420363c8370ce295020"),
+    "solve-rect:20x3-auto": (0, "216ee432d62f0d3ce290457a0e27e06d937c7be5e102fd2a9b1bc866c64cbd6a"),
+    "solve-rect:20x3-dp": (0, "216ee432d62f0d3ce290457a0e27e06d937c7be5e102fd2a9b1bc866c64cbd6a"),
     "solve-rect:4x9-auto": (0, "9573ae8e46615da5be8e8d09e455dddea00692d5fc4dce82a0373ecf07f1c7e8"),
     "solve-rect:4x9-brute": (0, "158baac52f659c4758c5311746721ab85af1464432ddc1c1674663df24ac12b2"),
     "solve-rect:4x9-dp": (0, "9573ae8e46615da5be8e8d09e455dddea00692d5fc4dce82a0373ecf07f1c7e8"),

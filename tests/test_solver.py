@@ -1,7 +1,6 @@
 import inspect
 import random
 import sys
-from operator import attrgetter
 
 import pytest
 
@@ -11,11 +10,11 @@ from conftest import (
     reference_dp_rect,
     reference_suffix_search,
 )
-from effdom.lattice import Lattice, hexa, rect, tri
+from effdom.lattice import MAX_VERTICES, Lattice, hexa, rect, tri
 from effdom.packing import audit
 from effdom.solver import (
     ConjectureRow,
-    _mirror_F_rect,
+    _dp_rect,
     _Transfer,
     brute_force_F,
     check_conjecture,
@@ -256,20 +255,19 @@ def test_dp_matches_reference_sweep(m, n):
     expected = reference_dp_rect(m, n)
     result = dp_F_rect(m, n)
     assert (result.f_value, result.witness) == expected
-    if n >= 4:
-        # The half-column mirror sweep of check_conjecture: same F, and a
-        # witness of its own that audits to it.
-        value, witness = _mirror_F_rect(m, n)
-        report = audit(rect(m, n), witness)
-        assert value == expected[0]
-        assert report.is_two_packing and report.influence == value
+    # The middle join of check_conjecture: same F, and a witness of its own
+    # that audits to it.
+    middle = _dp_rect(m, n, (n + 2) // 2)
+    report = audit(rect(m, n), middle.witness)
+    assert middle.f_value == expected[0]
+    assert report.is_two_packing and report.influence == middle.f_value
 
 
 def test_dp_full_height_square():
     # F is taken from reference_dp_rect(16, 16), which is too slow to rerun
     # here.  Nothing repeats before column 21 at height 16, so each of the 16
-    # columns, the two built in closed form, the 13 stepped and the closing
-    # one, produces all 12 693 slot values.
+    # columns, the two built in closed form and the 14 stepped, produces all
+    # 12 693 slot values.
     result = dp_F_rect(16, 16)
     assert (result.f_value, result.explored) == (244, 12693 * 16)
 
@@ -280,22 +278,20 @@ def test_dp_long_strips_match_closed_forms():
 
 
 @pytest.mark.parametrize(
-    "solve,m,n,f_value,fewest,most",
+    "solve,m,n,f_value,stepped",
     [
         # At height 10 the slot vector after column 20 repeats the one after
         # column 15, so the sweep stops there: columns 1 and 2 are built in
-        # closed form and 3..20 stepped.  dp_F_rect then steps once more for
-        # column n, while the mirror joins the reduced vectors.  Only
-        # dp_F_rect counts explored: its 335 slot values per column produced.
-        (lambda m, n: attrgetter("f_value", "explored")(dp_F_rect(m, n)), 10, 300, 2876, 1, 19),
-        (lambda m, n: (_mirror_F_rect(m, n)[0], None), 10, 300, 2876, 1, 18),
+        # closed form and 3..20 stepped, whichever columns are joined.
+        (dp_F_rect, 10, 300, 2876, 18),
+        (lambda m, n: _dp_rect(m, n, (n + 2) // 2), 10, 300, 2876, 18),
         # A square's half sweep has k2 = 9 columns, fewer than its height:
         # nothing repeats before column 16, so columns 3..9 are stepped.
-        (lambda m, n: (_mirror_F_rect(m, n)[0], None), 16, 16, 244, 7, 7),
+        (lambda m, n: _dp_rect(m, n, (n + 2) // 2), 16, 16, 244, 7),
     ],
     ids=["dp-10x300", "mirror-10x300", "mirror-16x16"],
 )
-def test_dp_sweeps_only_to_first_repeat(monkeypatch, solve, m, n, f_value, fewest, most):
+def test_dp_sweeps_only_to_first_repeat(monkeypatch, solve, m, n, f_value, stepped):
     steps = []
     step = _Transfer.step
 
@@ -304,12 +300,10 @@ def test_dp_sweeps_only_to_first_repeat(monkeypatch, solve, m, n, f_value, fewes
         return step(self, val, column)
 
     monkeypatch.setattr(_Transfer, "step", counted)
-    value, explored = solve(m, n)
-    assert value == f_value
-    assert fewest <= len(steps) <= most
-    if explored is not None:
-        # The two closed-form columns are produced without a step.
-        assert explored == len(_Transfer(m).canonical) * (len(steps) + 2)
+    result = solve(m, n)
+    assert (result.f_value, len(steps)) == (f_value, stepped)
+    # The two closed-form columns are produced without a step.
+    assert result.explored == len(_Transfer(m).canonical) * (stepped + 2)
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -354,6 +348,15 @@ def test_dp_rejects_degenerate():
         dp_F_rect(0, 5)
 
 
+def test_dp_rejects_oversized_board_before_sweeping(monkeypatch):
+    def refuse(self, m):
+        raise AssertionError("transfer built before the vertex limit check")
+
+    monkeypatch.setattr(_Transfer, "__init__", refuse)
+    with pytest.raises(ValueError, match="more than the limit"):
+        dp_F_rect(1, MAX_VERTICES + 1)
+
+
 # -- conjecture and void tables ----------------------------------------------------------
 
 
@@ -368,7 +371,7 @@ def test_check_conjecture_desk_range():
 
 
 def test_check_conjecture_past_default_width():
-    # 17 is odd, so the mirror joins the vectors after columns 9 and 10.
+    # 17 is odd, so the vectors after columns 9 and 10 are joined.
     assert check_conjecture(17, 17, width_limit=17) == [ConjectureRow(17, 276, 276, True)]
 
 
