@@ -23,7 +23,6 @@ writer killed by SIGPIPE; nothing is printed on stderr).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -37,7 +36,6 @@ from .packing import (
     audit,
     report_to_json,
     set_from_json,
-    transpose_set,
     vertex_to_json,
 )
 from .render import RenderStyle, ascii_board, svg_lines
@@ -52,24 +50,6 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 WIDTH = 76
 _encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 _ARRAYS = (list, tuple)
-
-
-def _int_list_line(obj) -> str | None:
-    """The one-line form of an array (a list or a tuple) that nests only
-    exact ints and arrays; None for any other value.
-
-    ``type(x) is int`` leaves bools, an int subclass, to the encoder, which
-    prints them as true/false.
-    """
-    if type(obj) is not list and type(obj) is not tuple:
-        return None
-    parts = []
-    for x in obj:
-        part = str(x) if type(x) is int else _int_list_line(x)
-        if part is None:
-            return None
-        parts.append(part)
-    return "[" + ", ".join(parts) + "]"
 
 
 def _bulk_lines(items) -> list:
@@ -105,13 +85,6 @@ def _bulk_lines(items) -> list:
         return [None] * len(items)
 
 
-def _one_line(obj) -> str:
-    if type(obj) is int:
-        return str(obj)
-    line = _int_list_line(obj)
-    return _encode(obj) if line is None else line
-
-
 def _least_width(obj) -> int:
     # Fewest characters a one-line form can take: an array of n items needs
     # 3n (one each, ", " between, brackets), an object of n keys 7n.
@@ -139,12 +112,12 @@ def _dumps(obj, pad: str = "") -> str:
     room = WIDTH - len(pad)
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, _ARRAYS)):
-        return _one_line(obj)
+        return _encode(obj)
     fits = _least_width(obj) <= room
     if fits and is_dict:
         fits = 6 * len(obj) + sum(map(_least_width, obj.values())) <= room
     if fits:
-        line = _one_line(obj)
+        line = _encode(obj)
         if len(line) <= room:
             return line
     inner = pad + "  "
@@ -259,11 +232,7 @@ def _solve_lattice(lattice: Lattice, method: str, brute_limit: int, dp_width: in
                 f"the shorter side of {lattice.descriptor()} has {side} rows, "
                 f"more than the DP width limit {dp_width}; raise --dp-width"
             )
-        # The sweep crosses the shorter side; F is transpose-invariant.
-        result = solver.dp_F_rect(side, lattice.rows + lattice.cols - side, width_limit=dp_width)
-        if lattice.rows == side:
-            return result
-        return dataclasses.replace(result, witness=transpose_set(result.witness))
+        return solver.dp_F_rect(lattice.rows, lattice.cols, width_limit=dp_width)
     if lattice.vertex_count > brute_limit:
         advice = "raise --brute-limit"
         if rectangular and side <= dp_width:

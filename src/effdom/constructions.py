@@ -276,6 +276,8 @@ def _p2_even_contract(n: int, report: DominationReport) -> bool:
 
 
 def _square(n: int) -> tuple[Coord, ...]:
+    if n not in (4, 5, 6):
+        raise ValueError(f"square covers n in {{4, 5, 6}}, got {n}")
     return eds_p4_p4() if n == 4 else fset_square_small(n)
 
 

@@ -67,46 +67,41 @@ of c0 + p columns either way, columns 1 and 2 in closed form and the
 rest by a step.  ``explored`` counts those slot values, len(canonical)
 for each of the c0 + p columns.
 
-``_dp_rect(m, n, k)`` joins the sweep at columns k - 1 and k, for any
-1 <= k <= n.  A grid is left-right symmetric, so its columns k - 1..n
-read from right to left are columns 1..k2 of the same sweep, where
-k2 = n - k + 2.  One sweep over columns 1..max(k, k2) gives both
-vectors, and F is the largest fwd_k[A, B] + fwd_k2[B, A] - w(A) - w(B)
-over the canonical pairs, where w weights a mask with a column on each
-side.  Both parts count the shared columns k - 1 and k, so their weights
-are taken off once.  Each part weights a column as interior except its
-own column 1, which is a board edge, and a mask's weight is linear in
-its neighbouring columns, so the difference is exact at the edges too.
-Columns k - 2 and k + 1 are three apart, so the join needs no other
-constraint.  Column j's kept vector is less g * max(0, (j - c0) // p),
-and both shifts are added to the joined maximum.  The witness joins a
-walk from (A, B) over columns 1..k with a mirrored walk from (B, A) over
-columns 1..k2 and is audited.
-
-``dp_F_rect`` joins at k = n.  There fwd_2[B, A] = edge(B) + w(A), with
-edge(B) the weight of B with a column on one side, so for every reached
-state the join equals the closing column n stepped from column n - 1:
-F, the first maximal slot and the walk are those of a sweep over every
-column, which the tests' reference sweep and the goldens pin.
-``check_conjecture`` joins at k = (n + 2) // 2, so it sweeps only about
-half the columns (k2 = k for even n, k + 1 for odd n).
+``dp_F_rect`` sweeps the shorter side: an m x n grid with m <= n, the
+transpose of the board when it has more rows than columns, whose witness
+is mapped back before its audit.  It joins the sweep at columns k - 1
+and k, k = (n + 2) // 2.  A grid is left-right symmetric, so its columns
+k - 1..n read from right to left are columns 1..k2 of the same sweep,
+where k2 = n - k + 2, which is k for even n and k + 1 for odd n.  One
+sweep over columns 1..k2 gives both vectors, and F is the largest
+fwd_k[A, B] + fwd_k2[B, A] - w(A) - w(B) over the canonical pairs, where
+w weights a mask with a column on each side.  Both parts count the
+shared columns k - 1 and k, so their weights are taken off once.  Each
+part weights a column as interior except its own column 1, which is a
+board edge, and a mask's weight is linear in its neighbouring columns,
+so the difference is exact at the edges too.  Columns k - 2 and k + 1
+are three apart, so the join needs no other constraint.  Column j's kept
+vector is less g * max(0, (j - c0) // p), and both shifts are added to
+the joined maximum.  The witness joins a walk from (A, B) over columns
+1..k with a mirrored walk from (B, A) over columns 1..k2 and is audited.
 
 Witnesses are rebuilt by a right-to-left walk that recomputes one
 back-pointer per column, the full predecessor with the largest value and
 the smallest A, exactly the choice a sweep over all states would store.
 Past c0 the walk reads the reduced vectors: a constant added to a column
 changes neither its largest value's position nor the smallest-A
-tie-break, so the witness is the full sweep's.  Those columns share p
-kept arrays, so a back-pointer, once computed for a state and an array,
-is looked up, not recomputed (the walk of ``dp_F_rect(1, 200000)`` falls
-from 0.30-0.44 to 0.07-0.09 s CPU, 2-vCPU box).
+tie-break, so the walk is the one the unreduced vectors give.  Those
+columns share p kept arrays, so a back-pointer, once computed for a
+state and an array, is looked up, not recomputed (a walk over all
+200 000 columns of a 1 x 200000 strip falls from 0.30-0.44 to 0.07-0.09
+s CPU, 2-vCPU box).
 
 Keying starts at column max(2, m): a key (maximum, shifted ``array``,
 bytes) costs a sixth of a column step at m = 16 (1.5 of 9.3 ms) and a
 quarter at m = 10 (``time.process_time``, 2-vCPU Xeon), and no height
 from 1 to 16 repeats before column m (c0 = 2, 2, 10, 16, 30, 11, 12,
 14, 14, 15, 16, 15, 16, 18, 20, 21).  An n x n square's half sweep has
-k2 = (n + 1) // 2 + 1 <= n columns, so ``conjecture`` hashes nothing.
+k2 = (n + 1) // 2 + 1 <= n columns, so a square keys no slot vector.
 """
 
 from __future__ import annotations
@@ -117,7 +112,7 @@ from typing import Any
 
 from .constructions import lower_bound_F
 from .lattice import MAX_VERTICES, rect
-from .packing import Vertex, audit, normalize_set
+from .packing import Vertex, audit, normalize_set, transpose_set
 
 BRUTE_FORCE_LIMIT = 49
 DP_WIDTH_LIMIT = 16
@@ -131,6 +126,8 @@ class SolveResult:
     For ``dp_F_rect`` it counts the slot values the sweep produced,
     len(canonical) for each column whose vector is produced: columns 1
     and 2, built in closed form, and every later swept column, stepped.
+    The sweep crosses the shorter side and runs to the middle of the
+    longer one, or to the first repeat of its slot vector if sooner.
     ``elapsed`` is the wall time in seconds from entry, after the
     limit checks, until the witness is built, before its audit.
     """
@@ -241,17 +238,14 @@ def _spaced_masks(m: int, free: int) -> list[int]:
     return within[-1]
 
 
-def _bits(mask: int) -> list[int]:
-    return [r for r in range(mask.bit_length()) if mask >> r & 1]
-
-
 class _Transfer:
     """The column transfer of a height-m grid.
 
-    ``rows_of`` maps each spaced column mask to its rows and ``compat[B]``
-    lists the masks allowed next to B, ascending.  ``slot_of[A][B]`` numbers the valid
-    pair (A, B) by its reflection orbit and ``canonical`` lists each
-    orbit's smaller pair in slot order.  ``steps`` holds, per middle mask
+    ``compat[B]`` lists the spaced column masks allowed next to B,
+    ascending, and ``interior`` weights each mask with a column on both
+    sides.  ``slot_of[A][B]`` numbers the valid pair (A, B) by its
+    reflection orbit and ``canonical`` lists each orbit's smaller pair in
+    slot order.  ``steps`` holds, per middle mask
     B, the slots of B's full predecessors (A, B) ascending in A, the A
     themselves, and the C of every canonical target (B, C); the steps in
     mask order list the targets in slot order.
@@ -261,7 +255,6 @@ class _Transfer:
         self.m = m
         full = (1 << m) - 1
         masks = _spaced_masks(m, full)
-        self.rows_of = {M: _bits(M) for M in masks}
         # Masks allowed in the next column: picked rows differ by >= 2.  The
         # relation is symmetric, so compat[B] also lists the A that may
         # precede B.
@@ -297,17 +290,18 @@ class _Transfer:
         self.steps = [
             ([slot_of[A][B] for A in compat[B]], compat[B], Cs) for B, Cs in targets.items()
         ]
+        self.interior = self.mask_weights(True)
 
-    def mask_weights(self, left: bool, right: bool) -> dict[int, int]:
+    def mask_weights(self, left: bool) -> dict[int, int]:
         """1 + degree summed over each mask's rows, given whether a column
-        lies left and right of it."""
-        m = self.m
-        per_row = [1 + (r > 0) + (r < m - 1) + left + right for r in range(m)]
-        return {C: sum(per_row[r] for r in rows) for C, rows in self.rows_of.items()}
+        lies left of it; one lies right of it, as in every swept column."""
+        # A row has 4 + left neighbours and itself, less one at each end of
+        # the column (m = 1: the row is both ends).
+        top, per_row = self.m - 1, 4 + left
+        return {C: per_row * C.bit_count() - (C & 1) - (C >> top & 1) for C in self.compat}
 
-    def weights(self, left: bool, right: bool) -> list[list[int]]:
-        """The target weights of every step for one kind of column."""
-        cw = self.mask_weights(left, right)
+    def weights(self, cw: dict[int, int]) -> list[list[int]]:
+        """The target weights of every step from the mask weights ``cw``."""
         return [[cw[C] for C in Cs] for _, _, Cs in self.steps]
 
     def step(self, val: Any, column: list[list[int]]) -> list[int]:
@@ -349,8 +343,9 @@ class _Transfer:
         val = [low] * len(self.canonical)
         val[0] = 0
         values = [array("i", val)]
-        edge = self.mask_weights(False, True)
-        inner = self.weights(True, True)
+        edge = self.mask_weights(False)
+        interior = self.interior
+        inner = self.weights(interior)
         # Each interior vector less its maximum from column m on, keyed to
         # its first column; a repeat after column count would save no column.
         seen = {}
@@ -363,8 +358,7 @@ class _Transfer:
             elif c == 2:
                 # Every (B, C) is reached through A = 0, which is disjoint
                 # from every C, and A = 0 holds the best value after column 1.
-                shared = self.mask_weights(True, True)
-                val = [edge[B] + shared[C] for B, C in self.canonical]
+                val = [edge[B] + interior[C] for B, C in self.canonical]
             else:
                 val = self.step(val, inner)
             if first <= c < count:
@@ -403,41 +397,40 @@ class _Transfer:
             state = A, B
         return column_masks
 
-    def witness(self, column_masks: list[int]) -> tuple[Vertex, ...]:
-        rows_of = self.rows_of
-        return normalize_set(
-            (r + 1, c) for c, C in enumerate(column_masks) for r in rows_of[C]
-        )
+    def witness(self, column_masks: list[int], transpose: bool) -> tuple[Vertex, ...]:
+        """The picked cells (row, column) of ``column_masks``, each as
+        (column, row) when ``transpose``."""
+        cells = [
+            (r + 1, c) for c, C in enumerate(column_masks) for r in range(C.bit_length()) if C >> r & 1
+        ]
+        return transpose_set(cells) if transpose else normalize_set(cells)
 
 
 def dp_F_rect(rows: int, cols: int, width_limit: int = DP_WIDTH_LIMIT) -> SolveResult:
-    """Exact F of the bounded rows x cols grid via the column-profile DP."""
+    """Exact F and an audited witness of the bounded rows x cols grid via
+    the column-profile DP, swept across its shorter side and joined at the
+    middle columns of its longer one (see the module docstring)."""
     if rows < 1 or cols < 1:
         raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
-    if rows > width_limit:
+    # F is transpose-invariant: the sweep crosses the shorter side, m rows.
+    m, n = sorted((rows, cols))
+    if m > width_limit:
         raise ValueError(
-            f"{rows} rows exceeds the DP width limit {width_limit}; "
-            "swap the dimensions (F is transpose-invariant) or raise the limit"
+            f"the shorter side of the {rows}x{cols} grid has {m} rows, "
+            f"more than the DP width limit {width_limit}; raise the limit"
         )
-    return _dp_rect(rows, cols, cols)
-
-
-def _dp_rect(m: int, n: int, k: int) -> SolveResult:
-    """Exact F and an audited witness of the bounded m x n grid from one
-    sweep whose vectors are joined at columns k - 1 and k, 1 <= k <= n
-    (see the module docstring)."""
     # Building the board checks MAX_VERTICES before any column is swept.
-    board = rect(m, n)
+    board = rect(rows, cols)
     t0 = time.perf_counter()
     transfer = _Transfer(m)
-    canonical, slot_of = transfer.canonical, transfer.slot_of
+    canonical, slot_of, w = transfer.canonical, transfer.slot_of, transfer.interior
     # The left part is columns 1..k; the right part, columns k - 1..n read
-    # from right to left, is columns 1..k2 of the same sweep.
+    # from right to left, is columns 1..k2 of the same sweep, and k2 >= k.
+    k = (n + 2) // 2
     k2 = n - k + 2
-    values, (c0, p, g) = transfer.sweep(max(k, k2))
+    values, (c0, p, g) = transfer.sweep(k2)
     # Both parts count the shared columns k - 1 and k; each weights them as
     # interior unless they are its column 1, a board edge.
-    w = transfer.mask_weights(True, True)
     fwd, bwd = values[k], values[k2]
     joined = [fwd[s] + bwd[slot_of[B][A]] - w[A] - w[B] for s, (A, B) in enumerate(canonical)]
     top = max(joined)
@@ -450,7 +443,7 @@ def _dp_rect(m: int, n: int, k: int) -> SolveResult:
     # columns k - 1..n, so the left's last two columns are dropped.
     left = transfer.walk(values[: k + 1], (A, B))
     right = transfer.walk(values[: k2 + 1], (B, A))
-    witness = transfer.witness(left[: k - 1] + right[:0:-1])
+    witness = transfer.witness(left[: k - 1] + right[:0:-1], rows > cols)
     elapsed = time.perf_counter() - t0
     explored = len(canonical) * (c0 + p)
 
@@ -477,9 +470,10 @@ def check_conjecture(
     """Compare the DP value of each n x n grid against the conjectured F,
     the bound ``lower_bound_F(n)``.
 
-    The DP value comes from a sweep over about half the columns joined in
-    the middle, which keys no slot vector on a square, and is backed by an
-    audited witness.  Squares wider than the DP limit are reported with
+    The DP value is ``dp_F_rect``'s: like every board, a square is swept
+    over about half its columns and joined in the middle, which keys no
+    slot vector on a square, and the value is backed by an audited
+    witness.  Squares wider than the DP limit are reported with
     ``dp_value=None`` (unverified), never guessed.  The same rows give the
     void view: n^2 - conjectured is the predicted void count and
     n^2 - dp_value the exact one, so ``matches`` holds in both views at
@@ -494,7 +488,7 @@ def check_conjecture(
     for n in range(lo, hi + 1):
         target = lower_bound_F(n)
         if n <= width_limit:
-            value = _dp_rect(n, n, (n + 2) // 2).f_value
+            value = dp_F_rect(n, n, width_limit).f_value
             rows.append(ConjectureRow(n, target, value, value == target))
         else:
             rows.append(ConjectureRow(n, target, None, None))

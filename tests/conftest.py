@@ -126,8 +126,10 @@ def exhaustive_max_influence(graph):
 
 def reference_dp_rect(m, n):
     """Exact (F, witness) of the m x n grid by the dict-keyed
-    column sweep over sorted (A, B) states: the loop form of ``dp_F_rect``,
-    kept as the oracle for its values, witnesses and tie-breaking."""
+    column sweep over sorted (A, B) states, every column stepped and the
+    witness walked back from the last: the oracle for ``dp_F_rect``'s
+    values.  ``dp_F_rect`` joins in the middle, so its witness is one of
+    its own, checked by audit."""
     def bits(mask):
         return [r for r in range(m) if mask >> r & 1]
 

@@ -71,8 +71,11 @@ def test_construct_bad_params(capsys):
     code, out, err = run(capsys, "construct", "eds-p2", "--n", "4")
     assert code == 2
     assert "error" in err
-    code, out, err = run(capsys, "construct", "square", "--n", "9")
-    assert code == 2
+    # The message names the sizes square accepts, not those of a helper.
+    for n in ("3", "7", "9"):
+        code, out, err = run(capsys, "construct", "square", "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: square covers n in {{4, 5, 6}}, got {n}\n"
 
 
 def test_construct_unknown_name_usage_error(capsys):
@@ -263,16 +266,16 @@ def test_solve_output_ignores_dp_width(capsys):
 
 
 def test_solve_sweeps_shorter_side(capsys, monkeypatch):
-    calls = []
-    dp = solver.dp_F_rect
+    heights = []
+    build = solver._Transfer.__init__
 
-    def spy(rows, cols, **kwargs):
-        calls.append((rows, cols))
-        return dp(rows, cols, **kwargs)
+    def spy(self, m):
+        heights.append(m)
+        build(self, m)
 
-    monkeypatch.setattr(solver, "dp_F_rect", spy)
+    monkeypatch.setattr(solver._Transfer, "__init__", spy)
     code, payload, _ = run_json(capsys, "solve", "rect:16x5")
-    assert code == 0 and calls == [(5, 16)]
+    assert code == 0 and heights == [5]
     report = audit(rect(16, 5), [tuple(v) for v in payload["witness"]])
     assert report.is_two_packing and report.influence == payload["F"]
 

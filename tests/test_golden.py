@@ -169,16 +169,16 @@ GOLDEN = {
     "solve-rect-torus:5x5-auto": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
     "solve-rect-torus:5x5-brute": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
     "solve-rect-torus:5x5-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "solve-rect:16x2-auto": (0, "211063d98ce87be13eb94cde85ebb8b23824aa8b1df34420363c8370ce295020"),
-    "solve-rect:16x2-dp": (0, "211063d98ce87be13eb94cde85ebb8b23824aa8b1df34420363c8370ce295020"),
-    "solve-rect:20x3-auto": (0, "216ee432d62f0d3ce290457a0e27e06d937c7be5e102fd2a9b1bc866c64cbd6a"),
-    "solve-rect:20x3-dp": (0, "216ee432d62f0d3ce290457a0e27e06d937c7be5e102fd2a9b1bc866c64cbd6a"),
-    "solve-rect:4x9-auto": (0, "9573ae8e46615da5be8e8d09e455dddea00692d5fc4dce82a0373ecf07f1c7e8"),
+    "solve-rect:16x2-auto": (0, "2e2c8360679df6194e4c7d3dc012ea13f148ea1a7889e931c0fa90b67cf9ca0b"),
+    "solve-rect:16x2-dp": (0, "2e2c8360679df6194e4c7d3dc012ea13f148ea1a7889e931c0fa90b67cf9ca0b"),
+    "solve-rect:20x3-auto": (0, "ded2a9bacaf3b395212d2ae5336d8185ca5a0dc70b9c7843716dd97302422c5d"),
+    "solve-rect:20x3-dp": (0, "ded2a9bacaf3b395212d2ae5336d8185ca5a0dc70b9c7843716dd97302422c5d"),
+    "solve-rect:4x9-auto": (0, "0d18efe7c737a4e43a831fe9918ed7c8afcfd5c96af59db65f68b1f352ca27dc"),
     "solve-rect:4x9-brute": (0, "158baac52f659c4758c5311746721ab85af1464432ddc1c1674663df24ac12b2"),
-    "solve-rect:4x9-dp": (0, "9573ae8e46615da5be8e8d09e455dddea00692d5fc4dce82a0373ecf07f1c7e8"),
-    "solve-rect:5x5-auto": (0, "903b15f8d82f2dc7bb6fc5a0a1b2534ff20bb97e8cdd20933a9e8f182d2fc381"),
+    "solve-rect:4x9-dp": (0, "0d18efe7c737a4e43a831fe9918ed7c8afcfd5c96af59db65f68b1f352ca27dc"),
+    "solve-rect:5x5-auto": (0, "dbfb762f662ea14e60df2e7ac4cbad876a5536764ebf805c70d3e0609bdc7db6"),
     "solve-rect:5x5-brute": (0, "3b1a29ce29c93ec28c51cc3701b9b8731886e2b8b757836c158972d87204d588"),
-    "solve-rect:5x5-dp": (0, "903b15f8d82f2dc7bb6fc5a0a1b2534ff20bb97e8cdd20933a9e8f182d2fc381"),
+    "solve-rect:5x5-dp": (0, "dbfb762f662ea14e60df2e7ac4cbad876a5536764ebf805c70d3e0609bdc7db6"),
     "solve-rect:8x8-brute": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "solve-tri-torus:4x4-auto": (0, "e01f377781e98234e4398243a8ccf80880eabc68ee3ad15a5ff4b3104ccf3cc1"),
     "solve-tri-torus:4x4-brute": (0, "e01f377781e98234e4398243a8ccf80880eabc68ee3ad15a5ff4b3104ccf3cc1"),

@@ -11,10 +11,9 @@ from conftest import (
     reference_suffix_search,
 )
 from effdom.lattice import MAX_VERTICES, Lattice, hexa, rect, tri
-from effdom.packing import audit
+from effdom.packing import audit, transpose_set
 from effdom.solver import (
     ConjectureRow,
-    _dp_rect,
     _Transfer,
     brute_force_F,
     check_conjecture,
@@ -231,9 +230,10 @@ def test_dp_never_exceeds_vertex_count():
 
 
 def test_dp_width_limit():
+    # The limit applies to the shorter side, which the sweep crosses.
     with pytest.raises(ValueError, match="width limit"):
-        dp_F_rect(17, 3)
-    assert dp_F_rect(3, 17).f_value == 3 * 17 - 17 // 3
+        dp_F_rect(17, 17)
+    assert dp_F_rect(17, 3).f_value == 3 * 17 - 17 // 3
 
 
 def test_dp_deterministic():
@@ -242,34 +242,40 @@ def test_dp_deterministic():
     assert a.witness == b.witness and a.explored == b.explored
 
 
-@pytest.mark.parametrize(
-    "m,n",
+REFERENCE_SHAPES = (
     [(m, n) for m in range(1, 9) for n in range(1, 15)]
     + [(10, 300), (12, 12), (9, 31), (11, 20), (13, 13), (14, 6), (15, 15)]
     + [(16, 1), (16, 2), (16, 3), (16, 5), (12, 1), (12, 2)]
     # Long enough to run past the repeat of the slot vector: (4, 60) repeats
     # with period 7 and (5, 80) only from column 30.
-    + [(1, 40), (2, 40), (3, 60), (4, 60), (5, 80), (6, 60), (7, 60), (8, 60)],
+    + [(1, 40), (2, 40), (3, 60), (4, 60), (5, 80), (6, 60), (7, 60), (8, 60)]
 )
+
+
+@pytest.mark.parametrize("m,n", REFERENCE_SHAPES)
 def test_dp_matches_reference_sweep(m, n):
-    expected = reference_dp_rect(m, n)
+    # The middle join reaches the full sweep's F with a witness of its own,
+    # which must audit to it.
     result = dp_F_rect(m, n)
-    assert (result.f_value, result.witness) == expected
-    # The middle join of check_conjecture: same F, and a witness of its own
-    # that audits to it.
-    middle = _dp_rect(m, n, (n + 2) // 2)
-    report = audit(rect(m, n), middle.witness)
-    assert middle.f_value == expected[0]
-    assert report.is_two_packing and report.influence == middle.f_value
+    report = audit(rect(m, n), result.witness)
+    assert result.f_value == reference_dp_rect(m, n)[0]
+    assert report.is_two_packing and report.influence == result.f_value
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m, n in REFERENCE_SHAPES if m != n])
+def test_dp_witness_maps_back_on_transpose(m, n):
+    # Both orientations sweep the same shorter side; the taller board gets
+    # the wider board's witness mirrored across the diagonal.
+    assert dp_F_rect(n, m).witness == transpose_set(dp_F_rect(m, n).witness)
 
 
 def test_dp_full_height_square():
     # F is taken from reference_dp_rect(16, 16), which is too slow to rerun
-    # here.  Nothing repeats before column 21 at height 16, so each of the 16
-    # columns, the two built in closed form and the 14 stepped, produces all
-    # 12 693 slot values.
+    # here.  The middle join sweeps k2 = 9 columns and nothing repeats before
+    # column 21 at height 16, so each of the 9 columns, the two built in
+    # closed form and the 7 stepped, produces all 12 693 slot values.
     result = dp_F_rect(16, 16)
-    assert (result.f_value, result.explored) == (244, 12693 * 16)
+    assert (result.f_value, result.explored) == (244, 12693 * 9)
 
 
 def test_dp_long_strips_match_closed_forms():
@@ -278,20 +284,23 @@ def test_dp_long_strips_match_closed_forms():
 
 
 @pytest.mark.parametrize(
-    "solve,m,n,f_value,stepped",
+    "m,n,f_value,stepped",
     [
         # At height 10 the slot vector after column 20 repeats the one after
-        # column 15, so the sweep stops there: columns 1 and 2 are built in
-        # closed form and 3..20 stepped, whichever columns are joined.
-        (dp_F_rect, 10, 300, 2876, 18),
-        (lambda m, n: _dp_rect(m, n, (n + 2) // 2), 10, 300, 2876, 18),
+        # column 15, so the sweep stops there, short of the k2 = 151 columns
+        # of its half: columns 1 and 2 are built in closed form and 3..20
+        # stepped.
+        (10, 300, 2876, 18),
+        # The board mirrored across its diagonal sweeps the same height-10
+        # side, so it stops at the same repeat.
+        (300, 10, 2876, 18),
         # A square's half sweep has k2 = 9 columns, fewer than its height:
         # nothing repeats before column 16, so columns 3..9 are stepped.
-        (lambda m, n: _dp_rect(m, n, (n + 2) // 2), 16, 16, 244, 7),
+        (16, 16, 244, 7),
     ],
-    ids=["dp-10x300", "mirror-10x300", "mirror-16x16"],
+    ids=["dp-10x300", "mirror-10x300", "dp-16x16"],
 )
-def test_dp_sweeps_only_to_first_repeat(monkeypatch, solve, m, n, f_value, stepped):
+def test_dp_sweeps_only_to_first_repeat(monkeypatch, m, n, f_value, stepped):
     steps = []
     step = _Transfer.step
 
@@ -300,10 +309,11 @@ def test_dp_sweeps_only_to_first_repeat(monkeypatch, solve, m, n, f_value, stepp
         return step(self, val, column)
 
     monkeypatch.setattr(_Transfer, "step", counted)
-    result = solve(m, n)
+    result = dp_F_rect(m, n)
     assert (result.f_value, len(steps)) == (f_value, stepped)
-    # The two closed-form columns are produced without a step.
-    assert result.explored == len(_Transfer(m).canonical) * (stepped + 2)
+    # The two closed-form columns are produced without a step; the sweep
+    # crosses the shorter side.
+    assert result.explored == len(_Transfer(min(m, n)).canonical) * (stepped + 2)
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -314,8 +324,8 @@ def test_sweep_first_columns_match_steps(m):
     values, _ = transfer.sweep(2)
     start = values[0]
     assert start[0] == 0 and all(v == start[1] < 0 for v in start[1:])
-    first = transfer.step(start, transfer.weights(False, True))
-    second = transfer.step(first, transfer.weights(True, True))
+    first = transfer.step(start, transfer.weights(transfer.mask_weights(False)))
+    second = transfer.step(first, transfer.weights(transfer.interior))
     assert list(values[1]) == first and list(values[2]) == second
 
 
