@@ -7,7 +7,6 @@ of rectangular, triangular and hexagonal lattices, bounded or toroidal.
 from .constructions import (
     AugmentedLattice,
     Pendant,
-    eds_p4_p4,
     eds_pn_p2,
     fset_pn_p2_even,
     fset_pn_p3,
@@ -60,7 +59,6 @@ __all__ = [
     "brute_force_F",
     "check_conjecture",
     "dp_F_rect",
-    "eds_p4_p4",
     "eds_pn_p2",
     "expand_motif",
     "fset_pn_p2_even",

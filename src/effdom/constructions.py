@@ -3,16 +3,21 @@
 Grids are oriented with the short side as rows: the 2 x n strip has
 ``rows=2, cols=n`` and the 3 x n strip ``rows=3, cols=n``.
 
-The strip constructions follow a forced-chain / column-block scheme:
+The strip constructions repeat a column pattern:
 
 * 2 x n: the chain (1,1), (2,3), (1,5), (2,7), ... closes perfectly for
   odd n (an efficient dominating set of influence 2n) and leaves exactly
   one void in the last column for even n (influence 2n - 1).
-* 3 x n: the columns split into floor(n/3) blocks of width 3 (the last
-  block widened to 4 or 5).  Interior blocks contribute two picks each and
-  exactly one void; the final one or two blocks use adjusted picks.  For
-  n >= 4 the influence is 3n - floor(n/3); the lone exception n = 3 tops
-  out at 7 with two voids.
+* 3 x n: a pattern plus a tail.  The pattern picks (1, j) for
+  j == 1 and (3, j) for j == 2 (mod 3), one void per three columns, up
+  to a body that the residue of n fixes: all n columns when
+  n == 2 (mod 3); n - 1 columns and the tail (2, n) when n == 1; n - 6
+  columns and the tail (2, n-5), (1, n-3), (3, n-2), (2, n) when n == 0.
+  For n >= 4 the influence is 3n - floor(n/3); the lone exception n = 3
+  tops out at 7 with two voids.
+
+The 4 x 4 perfect code and solver-extracted optima of the 5 x 5 and
+6 x 6 grids form one small-square table, ``fset_square_small``.
 
 For the n x n square (n >= 7) the ``knight_construction`` takes anchors
 in columns 1-2 and along the bottom row and extends every anchor by
@@ -29,8 +34,9 @@ set of a slightly larger "near-grid" graph by hanging one pendant vertex
 off each void.
 
 ``CONSTRUCTIONS`` names the constructions the CLI offers, in its order:
-each entry gives the lattice for n, the set builder and the contract its
-audit report must meet.
+each entry gives the lattice for n, the set builder and a contract made
+from its closed-form F: the audit report must show a 2-packing of
+influence F(n).
 """
 
 from __future__ import annotations
@@ -49,18 +55,13 @@ from .packing import DominationReport, Vertex, audit, normalize_set
 
 def _p2_chain(n: int) -> tuple[Coord, ...]:
     # (1,1), (2,3), (1,5), (2,7), ... while the column fits.
-    picks = []
-    t = 0
-    while 2 * t + 1 <= n:
-        picks.append((1 if t % 2 == 0 else 2, 2 * t + 1))
-        t += 1
-    return normalize_set(picks)
+    return normalize_set((1 + t % 2, 2 * t + 1) for t in range((n + 1) // 2))
 
 
 def eds_pn_p2(n: int) -> tuple[Coord, ...]:
     """Efficient dominating set of the 2 x n grid; exists only for odd n."""
     if n < 1 or n % 2 == 0:
-        raise ValueError(f"the 2 x {n} grid has no perfect code; use fset_pn_p2_even for even n")
+        raise ValueError(f"eds-p2 covers odd n >= 1, got {n}; use p2-even for even n")
     return _p2_chain(n)
 
 
@@ -71,7 +72,7 @@ def fset_pn_p2_even(n: int) -> tuple[Coord, ...]:
     and at (1, n) when n/2 is even.
     """
     if n < 2 or n % 2 == 1:
-        raise ValueError(f"fset_pn_p2_even needs even n >= 2, got {n}; use eds_pn_p2 for odd n")
+        raise ValueError(f"p2-even covers even n >= 2, got {n}; use eds-p2 for odd n")
     return _p2_chain(n)
 
 
@@ -85,54 +86,38 @@ def fset_pn_p3(n: int) -> tuple[Coord, ...]:
     the 3 x 3 square itself only reaches 7, with two voids.
     """
     if n < 3:
-        raise ValueError(f"fset_pn_p3 needs n >= 3, got {n}")
+        raise ValueError(f"p3 covers n >= 3, got {n}")
     if n == 3:
         return normalize_set([(1, 1), (3, 2)])
-    k, r = divmod(n, 3)
-    picks: list[Coord] = []
-
-    def block(index: int, local: list[Coord]) -> None:
-        base = 3 * (index - 1)
-        picks.extend((row, base + col) for row, col in local)
-
-    standard = [(1, 1), (3, 2)]
-    if r == 0:
-        for i in range(1, k - 1):
-            block(i, standard)
-        block(k - 1, [(2, 1), (1, 3)])
-        block(k, [(3, 1), (2, 3)])
-    elif r == 1:
-        for i in range(1, k):
-            block(i, standard)
-        block(k, [(1, 1), (3, 2), (2, 4)])
-    else:
-        for i in range(1, k):
-            block(i, standard)
-        block(k, [(1, 1), (3, 2), (1, 4), (3, 5)])
-    return normalize_set(picks)
+    # The pattern runs through column `body`; the tail closes the strip.
+    body, tail = {
+        2: (n, []),
+        1: (n - 1, [(2, n)]),
+        0: (n - 6, [(2, n - 5), (1, n - 3), (3, n - 2), (2, n)]),
+    }[n % 3]
+    pattern = [(1 if j % 3 == 1 else 3, j) for j in range(1, body + 1) if j % 3]
+    return normalize_set(pattern + tail)
 
 
 # -- small squares ------------------------------------------------------------
 
 
-def eds_p4_p4() -> tuple[Coord, ...]:
-    """The 4-element perfect code of the 4 x 4 grid."""
-    return normalize_set([(1, 2), (2, 4), (3, 1), (4, 3)])
-
-
-# Optimal witnesses extracted once from the exact solver (influence 23 / 33).
+# The 4 x 4 perfect code, and optimal witnesses extracted once from the
+# exact solver for n = 5 and 6 (influence 23 / 33).
 _SQUARE_WITNESSES: dict[int, tuple[Coord, ...]] = {
+    4: ((1, 2), (2, 4), (3, 1), (4, 3)),
     5: ((1, 1), (1, 4), (3, 2), (3, 5), (5, 1), (5, 4)),
     6: ((1, 1), (1, 4), (2, 6), (3, 2), (4, 4), (5, 1), (5, 6), (6, 3)),
 }
 
 
 def fset_square_small(n: int) -> tuple[Coord, ...]:
-    """Frozen maximum-influence 2-packings of the 5 x 5 and 6 x 6 grids."""
+    """Frozen maximum-influence 2-packings of the 4 x 4 (its perfect
+    code), 5 x 5 and 6 x 6 grids."""
     try:
         return _SQUARE_WITNESSES[n]
     except KeyError:
-        raise ValueError(f"fset_square_small covers n in {{5, 6}}, got {n}") from None
+        raise ValueError(f"square covers n in {{4, 5, 6}}, got {n}") from None
 
 
 # -- void counts and bounds for n x n, n >= 7 --------------------------------
@@ -168,7 +153,7 @@ def knight_construction(n: int) -> tuple[Coord, ...]:
     (i - k, j + 2k) of each anchor covers the rest.
     """
     if n < 7:
-        raise ValueError(f"knight_construction needs n >= 7, got {n}")
+        raise ValueError(f"knight covers n >= 7, got {n}")
     return periodic.expand_motif(periodic.rect_code_motif(0 if n % 5 == 4 else 4), n, n)
 
 
@@ -248,45 +233,35 @@ def near_grid_augment(
 
 class Construction(NamedTuple):
     """A named construction: its lattice for n, its set for n, and the
-    contract the audit report of that set must meet."""
+    contract the audit report of that set must meet.  The contract asks
+    for a 2-packing whose influence is the closed-form F(n), so one with
+    |V| - F(n) voids; ``knight`` asks for its lower bound, with every
+    void on the outer boundary."""
 
     lattice: Callable[[int], Lattice]
     build: Callable[[int], tuple[Coord, ...]]
     contract: Callable[[int, DominationReport], bool]
 
 
-def _p3_contract(n: int, report: DominationReport) -> bool:
-    influence, voids = (7, 2) if n == 3 else (3 * n - n // 3, n // 3)
-    return report.is_two_packing and report.influence == influence and len(report.voids) == voids
-
-
-def _square_contract(n: int, report: DominationReport) -> bool:
-    if n == 4:
-        return report.is_eds
-    return report.is_two_packing and report.influence == {5: 23, 6: 33}[n]
+def _reaches(influence: Callable[[int], int]) -> Callable[[int, DominationReport], bool]:
+    return lambda n, report: report.is_two_packing and report.influence == influence(n)
 
 
 def _knight_contract(n: int, report: DominationReport) -> bool:
-    boundary = all(i in (1, n) or j in (1, n) for i, j in report.voids)
-    return report.is_two_packing and boundary and len(report.voids) == predicted_voids(n)
-
-
-def _p2_even_contract(n: int, report: DominationReport) -> bool:
-    return report.is_two_packing and report.influence == 2 * n - 1 and len(report.voids) == 1
-
-
-def _square(n: int) -> tuple[Coord, ...]:
-    if n not in (4, 5, 6):
-        raise ValueError(f"square covers n in {{4, 5, 6}}, got {n}")
-    return eds_p4_p4() if n == 4 else fset_square_small(n)
+    # The lower bound, with every void on the outer boundary.
+    return _reaches(lower_bound_F)(n, report) and all(
+        i in (1, n) or j in (1, n) for i, j in report.voids
+    )
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
-    "eds-p2": Construction(
-        lambda n: rect(2, n), eds_pn_p2, lambda n, r: r.is_eds and r.influence == 2 * n
+    "eds-p2": Construction(lambda n: rect(2, n), eds_pn_p2, _reaches(lambda n: 2 * n)),
+    "p2-even": Construction(lambda n: rect(2, n), fset_pn_p2_even, _reaches(lambda n: 2 * n - 1)),
+    "p3": Construction(
+        lambda n: rect(3, n), fset_pn_p3, _reaches(lambda n: 7 if n == 3 else 3 * n - n // 3)
     ),
-    "p2-even": Construction(lambda n: rect(2, n), fset_pn_p2_even, _p2_even_contract),
-    "p3": Construction(lambda n: rect(3, n), fset_pn_p3, _p3_contract),
-    "square": Construction(lambda n: rect(n, n), _square, _square_contract),
+    "square": Construction(
+        lambda n: rect(n, n), fset_square_small, _reaches({4: 16, 5: 23, 6: 33}.get)
+    ),
     "knight": Construction(lambda n: rect(n, n), knight_construction, _knight_contract),
 }

@@ -125,11 +125,9 @@ def exhaustive_max_influence(graph):
 
 
 def reference_dp_rect(m, n):
-    """Exact (F, witness) of the m x n grid by the dict-keyed
-    column sweep over sorted (A, B) states, every column stepped and the
-    witness walked back from the last: the oracle for ``dp_F_rect``'s
-    values.  ``dp_F_rect`` joins in the middle, so its witness is one of
-    its own, checked by audit."""
+    """Exact F of the m x n grid by the dict-keyed column sweep over
+    sorted (A, B) states, every column stepped: the oracle for
+    ``dp_F_rect``'s values."""
     def bits(mask):
         return [r for r in range(m) if mask >> r & 1]
 
@@ -150,11 +148,9 @@ def reference_dp_rect(m, n):
         return {C: sum(per_row[r] for r in bits(C)) for C in masks}
 
     states = {(0, 0): 0}
-    back_pointers = []
     for c in range(1, n + 1):
         cw = column_weights(c)
         nxt = {}
-        back = {}
         for (A, B) in sorted(states):
             base = states[(A, B)]
             for C in compat[B]:
@@ -164,22 +160,9 @@ def reference_dp_rect(m, n):
                 key = (B, C)
                 if value > nxt.get(key, -1):
                     nxt[key] = value
-                    back[key] = A
-        back_pointers.append(back)
         states = nxt
 
-    best_value = max(states.values())
-    final = min(key for key, value in states.items() if value == best_value)
-
-    column_masks = [0] * (n + 1)
-    key = final
-    for c in range(n, 0, -1):
-        column_masks[c] = key[1]
-        key = (back_pointers[c - 1][key], key[0])
-    witness = normalize_set(
-        (r + 1, c) for c in range(1, n + 1) for r in bits(column_masks[c])
-    )
-    return best_value, witness
+    return max(states.values())
 
 
 def _recursive_search(graph, bound):

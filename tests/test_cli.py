@@ -68,14 +68,20 @@ def test_construct_square(capsys):
 
 
 def test_construct_bad_params(capsys):
-    code, out, err = run(capsys, "construct", "eds-p2", "--n", "4")
-    assert code == 2
-    assert "error" in err
-    # The message names the sizes square accepts, not those of a helper.
-    for n in ("3", "7", "9"):
-        code, out, err = run(capsys, "construct", "square", "--n", n)
+    # Each message names the construction and the sizes it accepts, not a
+    # library helper.
+    for name, n, message in (
+        ("eds-p2", 4, "eds-p2 covers odd n >= 1, got 4; use p2-even for even n"),
+        ("p2-even", 5, "p2-even covers even n >= 2, got 5; use eds-p2 for odd n"),
+        ("p3", 2, "p3 covers n >= 3, got 2"),
+        ("knight", 6, "knight covers n >= 7, got 6"),
+        ("square", 3, "square covers n in {4, 5, 6}, got 3"),
+        ("square", 7, "square covers n in {4, 5, 6}, got 7"),
+        ("square", 9, "square covers n in {4, 5, 6}, got 9"),
+    ):
+        code, out, err = run(capsys, "construct", name, "--n", str(n))
         assert code == 2 and out == ""
-        assert err == f"error: square covers n in {{4, 5, 6}}, got {n}\n"
+        assert err == f"error: {message}\n"
 
 
 def test_construct_unknown_name_usage_error(capsys):

@@ -2,9 +2,9 @@ import pytest
 
 from conftest import compiled_neighbors, reference_knight
 from effdom.constructions import (
+    CONSTRUCTIONS,
     AugmentedLattice,
     Pendant,
-    eds_p4_p4,
     eds_pn_p2,
     fset_pn_p2_even,
     fset_pn_p3,
@@ -16,6 +16,7 @@ from effdom.constructions import (
 )
 from effdom.lattice import rect
 from effdom.packing import audit, transpose_set
+from effdom.solver import dp_F_rect
 
 # -- 2 x n strips ---------------------------------------------------------------
 
@@ -35,7 +36,7 @@ def test_eds_p2_is_perfect_for_odd_n(n):
 
 @pytest.mark.parametrize("n", [2, 4, 10])
 def test_eds_p2_rejects_even_n(n):
-    with pytest.raises(ValueError, match="fset_pn_p2_even"):
+    with pytest.raises(ValueError, match="p2-even"):
         eds_pn_p2(n)
 
 
@@ -55,7 +56,7 @@ def test_p2_even_influence_and_single_void(n):
 
 
 def test_p2_even_rejects_odd_n():
-    with pytest.raises(ValueError, match="eds_pn_p2"):
+    with pytest.raises(ValueError, match="eds-p2"):
         fset_pn_p2_even(5)
 
 
@@ -95,7 +96,7 @@ def test_p3_rejects_small_n():
 
 
 def test_p4p4_perfect_code():
-    members = eds_p4_p4()
+    members = fset_square_small(4)
     assert len(members) == 4
     report = audit(rect(4, 4), members)
     assert report.is_eds and report.influence == 16
@@ -256,10 +257,10 @@ def test_augment_p3_square():
 
 def test_augment_perfect_code_is_identity():
     lat = rect(4, 4)
-    augmented, eds = near_grid_augment(lat, eds_p4_p4())
+    augmented, eds = near_grid_augment(lat, fset_square_small(4))
     assert augmented.pendants == ()
     assert augmented.vertex_count == 16
-    assert eds == eds_p4_p4()
+    assert eds == fset_square_small(4)
 
 
 def test_augment_knight_11():
@@ -304,3 +305,39 @@ def test_audit_rejects_foreign_pendant():
 def test_pendants_must_be_distinct():
     with pytest.raises(ValueError):
         AugmentedLattice(rect(2, 2), (Pendant(0, (1, 1)), Pendant(1, (1, 1))))
+
+
+# -- registry -----------------------------------------------------------------------
+
+
+def _valid_ns(construction, top):
+    """The n <= top for which the construction builds a set."""
+    valid = []
+    for n in range(1, top + 1):
+        try:
+            construction.build(n)
+        except ValueError:
+            continue
+        valid.append(n)
+    return valid
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_contract_is_the_exact_F(name):
+    construction = CONSTRUCTIONS[name]
+    # The exact solver's witness meets each closed form, so the closed form
+    # is F; the knight's lower bound is only conjectured to be exact.
+    if name != "knight":
+        for n in _valid_ns(construction, 30):
+            lattice = construction.lattice(n)
+            witness = dp_F_rect(lattice.rows, lattice.cols).witness
+            assert construction.contract(n, audit(lattice, witness)), n
+    # The builder's set meets the contract and, one member short, misses it:
+    # the exit-1 path of `construct`.
+    for n in _valid_ns(construction, 12):
+        lattice = construction.lattice(n)
+        members = construction.build(n)
+        assert construction.contract(n, audit(lattice, members)), n
+        for dropped in members:
+            rest = tuple(v for v in members if v != dropped)
+            assert not construction.contract(n, audit(lattice, rest)), (n, dropped)

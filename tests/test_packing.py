@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compiled_neighbors, greedy_random_packing, pairwise_distances_ok
-from effdom.constructions import Pendant, eds_p4_p4, near_grid_augment
+from effdom.constructions import Pendant, fset_square_small, near_grid_augment
 from effdom.lattice import InvalidCoordError, hexa, rect, tri
 from effdom.packing import (
     _sort_key,
@@ -69,7 +69,7 @@ def test_influence_examples():
     for graph, members, value in (
         (rect(3, 3), [(1, 1), (3, 2)], 7),
         (rect(3, 3), [(1, 1), (3, 3)], 6),
-        (rect(4, 4), eds_p4_p4(), 16),
+        (rect(4, 4), fset_square_small(4), 16),
     ):
         report = audit(graph, members)
         assert report.is_two_packing and report.influence == value
@@ -83,7 +83,7 @@ def test_influence_refuses_conflicting_sets():
 
 def test_eds_iff_influence_equals_vertex_count():
     lat = rect(4, 4)
-    report = audit(lat, eds_p4_p4())
+    report = audit(lat, fset_square_small(4))
     assert report.is_eds and report.influence == lat.vertex_count
     report = audit(rect(3, 3), [(1, 1), (3, 2)])
     assert not report.is_eds and report.influence < 9
