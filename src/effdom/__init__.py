@@ -21,6 +21,7 @@ from .packing import (
     DominationReport,
     audit,
     normalize_set,
+    report_to_json,
     transpose_set,
 )
 from .periodic import (
@@ -72,6 +73,7 @@ __all__ = [
     "normalize_set",
     "predicted_voids",
     "rect",
+    "report_to_json",
     "rect_code_motif",
     "transpose_set",
     "tri",

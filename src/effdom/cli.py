@@ -6,11 +6,13 @@ data (timings go to stderr).  Layout: keys sorted, ", " and ": " as
 separators, and an array (a list or a tuple, as in the ``json`` module) or
 object kept on one line when that line fits in 76 columns after its
 indent; otherwise each item gets its own line, indented two more spaces.
-The two array shapes printed in bulk, a coordinate ``[i, j]`` and a
-coverage pair ``[[i, j], c]``, are formatted by one comprehension per
-array rather than a call per item.  ``render --format svg`` is written row
-by row as it is drawn.  The cyclic collector is paused while a command
-runs (see ``main``).
+Board-sized arrays are printed without a call per item: an array of
+coordinates ``[i, j]`` by one comprehension, and a report's coverage array
+``[[i, j], c]`` by lattice row, from a prefix per row, a string per column
+and one per count, formatted once per command.  ``render --format svg`` is
+written row by row as it is drawn.  The argument parser is built once per
+process, and the cyclic collector is paused while a command runs (see
+``main``).
 
 Exit codes: 0 success (for ``verify``: the set is an efficient dominating
 set), 1 a valid 2-packing that leaves voids (or a construction whose
@@ -23,10 +25,12 @@ writer killed by SIGPIPE; nothing is printed on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
 import sys
+from itertools import islice
 from typing import Iterable
 
 from . import constructions, periodic, solver
@@ -34,8 +38,8 @@ from .lattice import Lattice, LatticeKind
 from .packing import (
     DominationReport,
     audit,
-    report_to_json,
     set_from_json,
+    summary_to_json,
     vertex_to_json,
 )
 from .render import RenderStyle, ascii_board, svg_lines
@@ -48,34 +52,74 @@ EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 WIDTH = 76
-_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 _ARRAYS = (list, tuple)
 
 
-def _bulk_lines(items) -> list:
-    """The one-line form of each item of an array that is a coordinate
-    ``[i, j]`` or a coverage pair ``[[i, j], c]``, the two shapes printed in
-    bulk; None for any other item, and for every item when one does not
-    unpack as a pair.
+class _Lines:
+    """An array given as the one-line forms of its items, none wider than
+    ``width``: ``_dumps`` joins them, and only the encoder parses them back,
+    for a container short enough to go on one line."""
 
-    The first item picks the shape, and one comprehension formats the whole
-    array with no call per item.  Each item is unpacked first and checked
-    after: only a list or tuple of exact ints passes, so a dict, whose keys
-    unpack, and bools, an int subclass, are left to the encoder.
+    __slots__ = ("lines", "width")
+
+    def __init__(self, lines: list[str], width: int) -> None:
+        self.lines = lines
+        self.width = width
+
+
+def _items(obj) -> list:
+    # The encoder's hook for the one type it does not know: a _Lines array
+    # is encoded as its items.
+    if type(obj) is _Lines:
+        return list(map(json.loads, obj.lines))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), default=_items).encode
+
+
+def _coverage(lattice: Lattice, report: DominationReport) -> _Lines:
+    """The report's coverage array, formatted by lattice row.
+
+    The counts are in row-major order, so the items of row i are its prefix
+    ``[[i, `` joined to each column's ``j], `` and each count's ``c]``, with
+    every piece formatted once.  Vertices past the lattice's own, the
+    pendants of an augmented graph, follow as encoded pairs.
     """
-    if not items:
-        return []
-    head = items[0]
+    coverage = report.coverage
+    counts = list(coverage.values())
+    marks = [f"{c}]" for c in range(max(counts) + 1)]
+    cols = [f"{j}], " for j in range(1, lattice.cols + 1)]
+    lines, start = [], 0
+    for i in range(1, lattice.rows + 1):
+        head = f"[[{i}, "
+        end = start + lattice._row_width(i)
+        lines += [head + col + marks[c] for col, c in zip(cols, counts[start:end])]
+        start = end
+    # Rows, columns and counts only grow, so the last of each is the widest.
+    width = len(head) + len(cols[-1]) + len(marks[-1])
+    for v, c in islice(coverage.items(), start, None):
+        lines.append(_encode((vertex_to_json(v), c)))
+        width = max(width, len(lines[-1]))
+    return _Lines(lines, width)
+
+
+def _report(lattice: Lattice, report: DominationReport) -> dict:
+    """``report_to_json``'s object with its coverage array from ``_coverage``."""
+    return {**summary_to_json(report), "coverage": _coverage(lattice, report)}
+
+
+def _coordinate_lines(items) -> list:
+    """The one-line form of each item of an array that is a coordinate
+    ``[i, j]``; None for any other item, and for every item when one does
+    not unpack as a pair.
+
+    One comprehension formats the whole array with no call per item.  Each
+    item is unpacked first and checked after: only a list or tuple of exact
+    ints passes, so a dict, whose keys unpack, and bools, an int subclass,
+    are left to the encoder.
+    """
     try:
-        if type(head) in _ARRAYS and len(head) == 2 and type(head[0]) in _ARRAYS:
-            return [
-                f"[[{i}, {j}], {c}]"
-                if type(c) is int and type(i) is int and type(j) is int and type(v) in _ARRAYS and type(a) in _ARRAYS
-                else None
-                for v in items
-                for a, c in (v,)
-                for i, j in (a,)
-            ]
         return [
             f"[{i}, {j}]" if type(i) is int and type(j) is int and type(v) in _ARRAYS else None
             for v in items
@@ -92,24 +136,42 @@ def _least_width(obj) -> int:
         return 7 * len(obj)
     if isinstance(obj, _ARRAYS):
         return 3 * len(obj)
+    if type(obj) is _Lines:
+        return 3 * len(obj.lines)
     return 1
+
+
+def _block(lines: list[str], pad: str) -> str:
+    # An array laid out one item per line, two spaces in from ``pad``.
+    inner = pad + "  "
+    body = inner + (",\n" + inner).join(lines) if lines else ""
+    return f"[\n{body}\n{pad}]"
 
 
 def _dumps(obj, pad: str = "") -> str:
     """``obj`` in the module's JSON layout, as if it started after ``pad``.
 
-    An array may be a list or a tuple.  A container is encoded for the
-    one-line test only when its least width fits; an object, which the
-    encoder writes in one piece, must also fit with each value at its own
-    least width (a key takes at least six characters besides its value).
-    Otherwise it is laid out item by item without being encoded.  There,
-    the items of an array are first written by ``_bulk_lines``, which
-    formats coordinates ``[i, j]`` and coverage pairs ``[[i, j], c]`` in
-    one comprehension; the common case, every item such a pair that fits
-    its line, needs nothing more.  Any other item, or one too wide, is laid
-    out by ``_dumps`` in turn.
+    An array may be a list, a tuple or a ``_Lines``.  A container is encoded
+    for the one-line test only when its least width fits; an object, which
+    the encoder writes in one piece, must also fit with each value at its
+    own least width (a key takes at least six characters besides its
+    value).  Otherwise it is laid out item by item without being encoded.
+    There, the items of an array are first written by ``_coordinate_lines``;
+    the common case, every item a coordinate that fits its line, needs
+    nothing more.  Any other item, or one too wide, is laid out by
+    ``_dumps`` in turn.  A ``_Lines`` array is only joined, on one line or
+    one item per line; its items are parsed back and laid out as data only
+    when one is too wide for its line.
     """
     room = WIDTH - len(pad)
+    if type(obj) is _Lines:
+        if _least_width(obj) <= room:
+            line = "[" + ", ".join(obj.lines) + "]"
+            if len(line) <= room:
+                return line
+        if obj.width > room - 2:
+            return _dumps(_items(obj), pad)
+        return _block(obj.lines, pad)
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, _ARRAYS)):
         return _encode(obj)
@@ -125,9 +187,9 @@ def _dumps(obj, pad: str = "") -> str:
         items = [f"{inner}{_encode(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     room -= 2  # an item's line starts two spaces further in
-    lines = _bulk_lines(obj)
+    lines = _coordinate_lines(obj)
     # Any other item, or one too wide, is laid out by _dumps, from the first
-    # such item on; in augment's arrays that is the pendant tail.
+    # such item on; in augment's "eds" that is the pendant tail.
     if max(map(len, filter(None, lines)), default=0) > room:
         start = 0
     else:
@@ -136,8 +198,7 @@ def _dumps(obj, pad: str = "") -> str:
         line if line is not None and len(line) <= room else _dumps(v, inner)
         for v, line in zip(obj[start:], lines[start:])
     ]
-    body = inner + (",\n" + inner).join(lines) if lines else ""
-    return f"[\n{body}\n{pad}]"
+    return _block(lines, pad)
 
 
 def _emit(obj) -> None:
@@ -183,7 +244,7 @@ def _audited_set(lattice: Lattice, members, report: DominationReport) -> dict:
     return {
         "lattice": lattice.descriptor(),
         "set": members,
-        "report": report_to_json(report),
+        "report": _report(lattice, report),
     }
 
 
@@ -193,6 +254,10 @@ def _audited_set(lattice: Lattice, members, report: DominationReport) -> dict:
 def cmd_construct(args) -> int:
     style = _style(args)
     construction = constructions.CONSTRUCTIONS[args.name]
+    # An n outside the entry's domain is refused in its own words, before
+    # the lattice refuses a size; an oversized n still meets MAX_VERTICES
+    # before any set is built.
+    constructions.require_n(args.name, args.n)
     lattice = construction.lattice(args.n)
     members = construction.build(args.n)
     report = audit(lattice, members)
@@ -335,20 +400,21 @@ def cmd_motif(args) -> int:
         window = periodic.window_lattice(motif, *size)
         expansion = periodic.expand_motif(motif, *size)
     report = periodic.verify_perfect(motif)
+    torus = motif.torus_lattice()
     payload = {
         "kind": motif.kind.value,
         "periods": list(motif.periods),
         "cells": motif.cells,
         "density": motif.density,
         "perfect": report.is_eds,
-        "report": report_to_json(report),
+        "report": _report(torus, report),
     }
-    board = (motif.torus_lattice(), motif.cells, report)
+    board = (torus, motif.cells, report)
     if args.window:
         window_report = audit(window, expansion)
         payload["window"] = window.descriptor()
         payload["expansion"] = expansion
-        payload["window_report"] = report_to_json(window_report)
+        payload["window_report"] = _report(window, window_report)
         board = (window, expansion, window_report)
     if args.format == "json":
         _emit(payload)
@@ -372,7 +438,7 @@ def cmd_augment(args) -> int:
             "vertex_count": augmented.vertex_count,
             # Only the pendants need vertex_to_json; coordinates stay tuples.
             "eds": [v if type(v) is tuple else vertex_to_json(v) for v in eds],
-            "report": report_to_json(report),
+            "report": _report(lattice, report),
         }
     )
     return EXIT_OK if report.is_eds else EXIT_VOIDS
@@ -474,9 +540,12 @@ def _reader_gone() -> int:
     return EXIT_BROKEN_PIPE
 
 
+# The parser main uses, built on its first call: parsing leaves no state in it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Iterable[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    args = _parser().parse_args(list(argv) if argv is not None else None)
     # The cyclic collector is paused while the command runs.  Its tables
     # (vertex ids, neighbour tuples, coverage, output lines) hold no
     # reference cycles, so a pass would only walk them, hundreds of times

@@ -50,6 +50,24 @@ from .lattice import CompiledGraph, Coord, Lattice, LatticeKind, rect
 from .packing import DominationReport, Vertex, audit, normalize_set
 
 
+# -- domains --------------------------------------------------------------------
+
+
+def require_n(name: str, n: int) -> None:
+    """Refuse, in the words of ``construct NAME``, an n outside the domain
+    of the construction ``name``; its builder and the CLI ask before any
+    work."""
+    covered, domain, hint = {
+        "eds-p2": (n >= 1 and n % 2 == 1, "odd n >= 1", "; use p2-even for even n"),
+        "p2-even": (n >= 2 and n % 2 == 0, "even n >= 2", "; use eds-p2 for odd n"),
+        "p3": (n >= 3, "n >= 3", ""),
+        "square": (n in _SQUARE_WITNESSES, "n in {4, 5, 6}", ""),
+        "knight": (n >= 7, "n >= 7", ""),
+    }[name]
+    if not covered:
+        raise ValueError(f"{name} covers {domain}, got {n}{hint}")
+
+
 # -- 2 x n strips -------------------------------------------------------------
 
 
@@ -60,8 +78,7 @@ def _p2_chain(n: int) -> tuple[Coord, ...]:
 
 def eds_pn_p2(n: int) -> tuple[Coord, ...]:
     """Efficient dominating set of the 2 x n grid; exists only for odd n."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"eds-p2 covers odd n >= 1, got {n}; use p2-even for even n")
+    require_n("eds-p2", n)
     return _p2_chain(n)
 
 
@@ -71,8 +88,7 @@ def fset_pn_p2_even(n: int) -> tuple[Coord, ...]:
     Influence is 2n - 1; the single void sits at (2, n) when n/2 is odd
     and at (1, n) when n/2 is even.
     """
-    if n < 2 or n % 2 == 1:
-        raise ValueError(f"p2-even covers even n >= 2, got {n}; use eds-p2 for odd n")
+    require_n("p2-even", n)
     return _p2_chain(n)
 
 
@@ -85,8 +101,7 @@ def fset_pn_p3(n: int) -> tuple[Coord, ...]:
     Influence 3n - floor(n/3) with floor(n/3) voids for n >= 4;
     the 3 x 3 square itself only reaches 7, with two voids.
     """
-    if n < 3:
-        raise ValueError(f"p3 covers n >= 3, got {n}")
+    require_n("p3", n)
     if n == 3:
         return normalize_set([(1, 1), (3, 2)])
     # The pattern runs through column `body`; the tail closes the strip.
@@ -114,10 +129,8 @@ _SQUARE_WITNESSES: dict[int, tuple[Coord, ...]] = {
 def fset_square_small(n: int) -> tuple[Coord, ...]:
     """Frozen maximum-influence 2-packings of the 4 x 4 (its perfect
     code), 5 x 5 and 6 x 6 grids."""
-    try:
-        return _SQUARE_WITNESSES[n]
-    except KeyError:
-        raise ValueError(f"square covers n in {{4, 5, 6}}, got {n}") from None
+    require_n("square", n)
+    return _SQUARE_WITNESSES[n]
 
 
 # -- void counts and bounds for n x n, n >= 7 --------------------------------
@@ -152,8 +165,7 @@ def knight_construction(n: int) -> tuple[Coord, ...]:
     members in columns 1-2 or on the bottom row; the knight ray
     (i - k, j + 2k) of each anchor covers the rest.
     """
-    if n < 7:
-        raise ValueError(f"knight covers n >= 7, got {n}")
+    require_n("knight", n)
     return periodic.expand_motif(periodic.rect_code_motif(0 if n % 5 == 4 else 4), n, n)
 
 

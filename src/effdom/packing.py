@@ -144,7 +144,8 @@ def set_from_json(obj: dict) -> tuple[Lattice, tuple[Coord, ...]]:
     return lattice, normalize_set(members)
 
 
-def report_to_json(report: DominationReport) -> dict:
+def summary_to_json(report: DominationReport) -> dict:
+    """Every field of ``report_to_json`` but the per-vertex coverage."""
     return {
         "is_two_packing": report.is_two_packing,
         "is_eds": report.is_eds,
@@ -153,6 +154,12 @@ def report_to_json(report: DominationReport) -> dict:
         "weight_sum": report.weight_sum,
         "voids": [vertex_to_json(v) for v in report.voids],
         "conflicts": [vertex_to_json(v) for v in report.conflicts],
+    }
+
+
+def report_to_json(report: DominationReport) -> dict:
+    return {
+        **summary_to_json(report),
         # Coverage pairs are (vertex, count) tuples, which encode as arrays.  A
         # coordinate stays the tuple it is; only pendants need vertex_to_json.
         "coverage": [

@@ -69,6 +69,19 @@ def _positions(lattice: Lattice) -> list[tuple[float, float]]:
     return pos
 
 
+def _grid_labels(lattice: Lattice) -> tuple[list[str], list[str]]:
+    """The x and y text of each vertex of a bounded rectangular or hexagonal
+    board, indexed by vertex id.  There x follows the column and y the row,
+    so each is formatted once per column or row and repeated by list
+    arithmetic."""
+    cols = lattice.cols
+    xs = [f"{j * CELL + CELL:.1f}" for j in range(cols)]
+    ys = []
+    for i in range(lattice.rows):
+        ys += [f"{i * CELL + CELL:.1f}"] * cols
+    return xs * lattice.rows, ys
+
+
 def svg_lines(
     lattice: Lattice,
     members: tuple[Coord, ...],
@@ -76,18 +89,29 @@ def svg_lines(
 ) -> Iterator[str]:
     """The SVG document in pieces that join with newlines: the header, the
     edges leaving each lattice row, the vertices of each row, the footer.
-    A row that starts no edge yields no piece, so no blank line appears."""
+    A row that starts no edge yields no piece, so no blank line appears.
+    ``report`` is the audit of ``members`` on ``lattice``.
+
+    Float positions are computed per vertex only for a triangle, whose x
+    depends on the row too, and for a torus, whose wrap-around edges are
+    told apart by their length.  A bounded rectangular or hexagonal board
+    takes its labels from ``_grid_labels``."""
     graph = lattice.compiled
-    pos = _positions(lattice)
-    width = max(x for x, _ in pos) + CELL
-    height = max(y for _, y in pos) + CELL
+    torus = lattice.torus
+    if torus or lattice.kind is LatticeKind.TRIANGULAR:
+        pos = _positions(lattice)
+        width = max(x for x, _ in pos) + CELL
+        height = max(y for _, y in pos) + CELL
+        # Each distinct coordinate is formatted once.
+        text = {c: f"{c:.1f}" for c in {c for xy in pos for c in xy}}
+        xs, ys = [text[x] for x, _ in pos], [text[y] for _, y in pos]
+    else:
+        width, height = (lattice.cols + 1) * CELL, (lattice.rows + 1) * CELL
+        xs, ys = _grid_labels(lattice)
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">'
     )
-    # Each distinct coordinate is formatted once.
-    text = {c: f"{c:.1f}" for c in {c for xy in pos for c in xy}}
-    labels = [(text[x], text[y]) for x, y in pos]
     rows, start = [], 0
     for i in range(1, lattice.rows + 1):
         end = start + lattice._row_width(i)
@@ -96,30 +120,22 @@ def svg_lines(
     # On a torus, skip wrap-around edges: only draw neighbours that are
     # geometrically close.  A bounded board has no wrap edges to skip.
     reach = 1.8 * CELL
-    torus = lattice.torus
+    adj = graph.adj
     for row in rows:
-        lines = []
-        for t in row:
-            ux, uy = pos[t]
-            x1, y1 = labels[t]
-            for s in graph.adj[t]:
-                if s > t and (not torus or math.hypot(pos[s][0] - ux, pos[s][1] - uy) <= reach):
-                    x2, y2 = labels[s]
-                    lines.append(
-                        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#555" stroke-width="1"/>'
-                    )
+        lines = [
+            f'<line x1="{xs[t]}" y1="{ys[t]}" x2="{xs[s]}" y2="{ys[s]}" stroke="#555" stroke-width="1"/>'
+            for t in row
+            for s in adj[t]
+            if s > t and (not torus or math.hypot(pos[s][0] - pos[t][0], pos[s][1] - pos[t][1]) <= reach)
+        ]
         if lines:
             yield "\n".join(lines)
-    member_set = set(members)
-    member_dot = f'r="{CELL / 3:.1f}" fill="black"'
     dominated_dot = f'r="{CELL / 7:.1f}" fill="black"'
     void_dot = f'r="{CELL / 3:.1f}" fill="white" stroke="black" stroke-width="1.5"'
+    # The coverage lists the vertices in id order.
+    dots = [dominated_dot if c else void_dot for c in report.coverage.values()]
+    for v in members:
+        dots[graph.index[v]] = f'r="{CELL / 3:.1f}" fill="black"'
     for row in rows:
-        circles = []
-        for t in row:
-            v = graph.order[t]
-            dot = member_dot if v in member_set else dominated_dot if report.coverage.get(v, 0) else void_dot
-            x, y = labels[t]
-            circles.append(f'<circle cx="{x}" cy="{y}" {dot}/>')
-        yield "\n".join(circles)
+        yield "\n".join([f'<circle cx="{xs[t]}" cy="{ys[t]}" {dots[t]}/>' for t in row])
     yield "</svg>"

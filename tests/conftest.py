@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from collections import deque
 
@@ -302,3 +303,76 @@ def reference_dumps(obj, pad: str = "") -> str:
         items = [f"{inner}{reference_dumps(v, inner)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     return one_line
+
+
+def reference_coverage_lines(pairs):
+    """The one-line form of each coverage pair ``[[i, j], c]`` of an array,
+    by one generic comprehension that unpacks and type-checks every item;
+    None for an item of another shape, such as a pendant's pair.  The CLI's
+    bulk path before coverage was formatted by lattice row, kept as the
+    oracle for ``effdom.cli._coverage``."""
+    return [
+        f"[[{i}, {j}], {c}]"
+        if type(c) is int and type(i) is int and type(j) is int and type(v) in (list, tuple) and type(a) in (list, tuple)
+        else None
+        for v in pairs
+        for a, c in (v,)
+        for i, j in (a,)
+    ]
+
+
+def reference_svg_lines(lattice, members, report):
+    """``effdom.render.svg_lines`` as it was before labels came from
+    per-row and per-column text: a float position per vertex, and each
+    vertex's label pair looked up from the formatted positions.  Kept as
+    the oracle for ``svg_lines``."""
+    cell = 30.0
+    graph = lattice.compiled
+    pos = []
+    for i, j in graph.order:
+        if lattice.kind is LatticeKind.TRIANGULAR:
+            x = (j - 1 + (i - 1) * 0.5) * cell
+            y = (i - 1) * cell * math.sqrt(3) / 2
+        else:
+            x = (j - 1) * cell
+            y = (i - 1) * cell
+        pos.append((x + cell, y + cell))
+    width = max(x for x, _ in pos) + cell
+    height = max(y for _, y in pos) + cell
+    yield (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">'
+    )
+    text = {c: f"{c:.1f}" for c in {c for xy in pos for c in xy}}
+    labels = [(text[x], text[y]) for x, y in pos]
+    rows, start = [], 0
+    for i in range(1, lattice.rows + 1):
+        end = start + lattice._row_width(i)
+        rows.append(range(start, end))
+        start = end
+    for row in rows:
+        lines = []
+        for t in row:
+            ux, uy = pos[t]
+            x1, y1 = labels[t]
+            for s in graph.adj[t]:
+                if s > t and (not lattice.torus or math.hypot(pos[s][0] - ux, pos[s][1] - uy) <= 1.8 * cell):
+                    x2, y2 = labels[s]
+                    lines.append(
+                        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#555" stroke-width="1"/>'
+                    )
+        if lines:
+            yield "\n".join(lines)
+    member_set = set(members)
+    member_dot = f'r="{cell / 3:.1f}" fill="black"'
+    dominated_dot = f'r="{cell / 7:.1f}" fill="black"'
+    void_dot = f'r="{cell / 3:.1f}" fill="white" stroke="black" stroke-width="1.5"'
+    for row in rows:
+        circles = []
+        for t in row:
+            v = graph.order[t]
+            dot = member_dot if v in member_set else dominated_dot if report.coverage.get(v, 0) else void_dot
+            x, y = labels[t]
+            circles.append(f'<circle cx="{x}" cy="{y}" {dot}/>')
+        yield "\n".join(circles)
+    yield "</svg>"

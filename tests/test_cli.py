@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import warnings
@@ -12,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effdom
-from conftest import reference_dumps
-from effdom import solver
-from effdom.cli import _dumps, main
+from conftest import reference_coverage_lines, reference_dumps, reference_svg_lines
+from effdom import constructions, solver
+from effdom.cli import _dumps, _Lines, _report, build_parser, main
+from effdom.constructions import near_grid_augment
 from effdom.lattice import Lattice, rect, tri
-from effdom.packing import audit
+from effdom.packing import audit, normalize_set, report_to_json
 from effdom.render import RenderStyle, ascii_board, svg_lines
 
 
@@ -82,6 +84,44 @@ def test_construct_bad_params(capsys):
         code, out, err = run(capsys, "construct", name, "--n", str(n))
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("eds-p2", "eds-p2 covers odd n >= 1, got 0; use p2-even for even n"),
+        ("p2-even", "p2-even covers even n >= 2, got 0; use eds-p2 for odd n"),
+        ("p3", "p3 covers n >= 3, got 0"),
+        ("square", "square covers n in {4, 5, 6}, got 0"),
+        ("knight", "knight covers n >= 7, got 0"),
+    ],
+)
+def test_construct_n_zero_names_the_entry(capsys, name, message):
+    # The entry's domain is checked before its lattice, which would refuse
+    # a 2 x 0 strip in the lattice's words.
+    code, out, err = run(capsys, "construct", name, "--n", "0")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_construct_oversized_knight_refused_before_its_set(capsys, monkeypatch, no_vertex_listing):
+    # n = 2001 is in the knight's domain; the lattice refuses it by size
+    # before the set is built.
+    def refuse(n):
+        raise AssertionError("built the knight set")
+
+    knight = constructions.CONSTRUCTIONS["knight"]
+    monkeypatch.setitem(constructions.CONSTRUCTIONS, "knight", knight._replace(build=refuse))
+    _assert_rejected_before_work(*run(capsys, "construct", "knight", "--n", "2001"))
+
+
+def test_help_from_the_shared_parser(capsys):
+    # main parses with one parser per process; what it prints is what a
+    # freshly built parser prints, on every call.
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
 
 
 def test_construct_unknown_name_usage_error(capsys):
@@ -343,9 +383,9 @@ def _knight_file(tmp_path, n):
 )
 def test_commands_leave_no_board_sized_cycles(capsys, tmp_path, argv):
     # main pauses the cyclic collector, which is safe only if no command
-    # leaves cyclic garbage that grows with the board: what is left (the
-    # argument parser) must be the same on a 10 x 10 and a 60 x 60 board.
-    # The first run only fills the caches a first call in a process fills.
+    # leaves cyclic garbage: after a command on a 10 x 10 and on a 60 x 60
+    # board the collector finds nothing to free.  The first run only fills
+    # the caches a first call in a process fills, the parser among them.
     found = []
     for n in (10, 10, 60):
         path = _knight_file(tmp_path, n)
@@ -353,7 +393,7 @@ def test_commands_leave_no_board_sized_cycles(capsys, tmp_path, argv):
         assert main([path if a == "@" else a.format(n=n) for a in argv]) in (0, 1)
         found.append(gc.collect())
         capsys.readouterr()
-    assert found[1] == found[2]
+    assert found[1:] == [0, 0]
 
 
 def test_closed_stdout_ends_output_quietly(tmp_path):
@@ -582,6 +622,98 @@ def test_largest_square_range_accepted(capsys):
     code, payload, _ = run_json(capsys, "table", "--from", "7", "--to", "2000", "--dp-width", "6")
     assert code == 0 and len(payload["rows"]) == 1994
     assert payload["rows"][-1]["n"] == 2000 and payload["rows"][-1]["verified"] is False
+
+
+# -- board-sized output by rows and columns ---------------------------------------
+
+# Boards beyond the golden sizes, of every kind and shape the row formatters
+# meet: strips one row or one column wide, a tall rectangle, a triangle, a
+# hexagonal board and each torus.
+_BOARDS = [
+    "rect:1x17",
+    "rect:17x1",
+    "rect:37x23",
+    "tri:13",
+    "hex:9x14",
+    "rect-torus:5x7",
+    "tri-torus:7x9",
+    "hex-torus:6x8",
+]
+
+
+def _random_set(lattice, seed, share):
+    # About ``share`` of the vertices: a set with voids and, for a large
+    # share, conflicts (counts of 2 or more).
+    vertices = lattice.vertices()
+    return tuple(sorted(random.Random(seed).sample(vertices, max(1, int(share * len(vertices))))))
+
+
+def _board_sets(descriptor):
+    lattice = Lattice.from_descriptor(descriptor)
+    return lattice, [(), _random_set(lattice, 1, 0.1), _random_set(lattice, 2, 0.4)]
+
+
+@pytest.mark.parametrize("descriptor", _BOARDS)
+def test_coverage_by_rows_matches_reference(descriptor):
+    lattice, sets = _board_sets(descriptor)
+    for members in sets:
+        report = audit(lattice, members)
+        data = report_to_json(report)
+        got = _report(lattice, report)
+        assert got["coverage"].lines == reference_coverage_lines(data["coverage"])
+        assert {**got, "coverage": None} == {**data, "coverage": None}
+        # Every indent, up to one too deep for a coverage item's own line.
+        for width in range(0, 70, 3):
+            pad = " " * width
+            assert _dumps(got, pad) == reference_dumps(data, pad)
+    assert max(audit(lattice, sets[2]).coverage.values()) >= 2
+
+
+def test_lines_array_inside_short_containers():
+    # A container short enough for one line is encoded whole, with a _Lines
+    # array in it encoded as its items; at each indent the layout is the
+    # one its items would get as data.
+    items = [[[1, 1], 1], [[1, 2], 0]]
+    lines = _Lines(["[[1, 1], 1]", "[[1, 2], 0]"], 11)
+    for wrap in (lambda a: a, lambda a: {"c": a}, lambda a: [a, 7], lambda a: {"r": {"c": a, "k": 1}}):
+        for width in range(0, 70, 2):
+            assert _dumps(wrap(lines), " " * width) == reference_dumps(wrap(items), " " * width)
+
+
+def _greedy_packing(lattice, seed):
+    # A maximal 2-packing, grown in a random vertex order: it leaves voids.
+    members = []
+    vertices = lattice.vertices()
+    random.Random(seed).shuffle(vertices)
+    for v in vertices:
+        if audit(lattice, members + [v]).is_two_packing:
+            members.append(v)
+    return normalize_set(members)
+
+
+@pytest.mark.parametrize("descriptor", ["rect:1x1", "rect:2x1", "rect:1x3", "rect:7x9", "rect:37x23"])
+def test_coverage_of_augmented_board_matches_reference(descriptor):
+    # The base lattice's rows, then one pair per pendant.
+    lattice = Lattice.from_descriptor(descriptor)
+    for members in ((), _greedy_packing(lattice, 3)):
+        augmented, eds = near_grid_augment(lattice, members)
+        report = audit(augmented, eds)
+        data = report_to_json(report)
+        got = _report(lattice, report)
+        encoded = [json.dumps(item, sort_keys=True, separators=(", ", ": ")) for item in data["coverage"]]
+        lines = reference_coverage_lines(data["coverage"])
+        assert got["coverage"].lines == [line or text for line, text in zip(lines, encoded)]
+        assert lines[lattice.vertex_count :] == [None] * len(augmented.pendants)
+        for width in range(0, 70, 3):
+            assert _dumps(got, " " * width) == reference_dumps(data, " " * width)
+
+
+@pytest.mark.parametrize("descriptor", _BOARDS)
+def test_svg_by_rows_matches_reference(descriptor):
+    lattice, sets = _board_sets(descriptor)
+    for members in sets:
+        report = audit(lattice, members)
+        assert list(svg_lines(lattice, members, report)) == list(reference_svg_lines(lattice, members, report))
 
 
 # -- render ---------------------------------------------------------------------
@@ -845,7 +977,9 @@ class _Int(int):
 
 
 _PENDANT = {"attached_to": [1, 2], "pendant": 0}
-# Per bulk shape, items that must leave the one-comprehension path.
+# Per array shape, odd items among coordinates, which leave the one
+# comprehension, and among coverage pairs given as data, as a library
+# caller's report_to_json gives them.
 _ODD_ITEMS = {
     "coordinate": {
         "bool": [True, 2],
@@ -870,9 +1004,9 @@ _ODD_ITEMS = {
 
 @pytest.mark.parametrize("shape", sorted(_ODD_ITEMS))
 def test_dumps_late_odd_items(shape):
-    # Long arrays of one bulk shape whose odd items come late: one item
-    # near the end, or a tail of them as in augment's "coverage" and "eds".
-    # Each as lists and as tuples, with the bulk items at the width edges.
+    # Long arrays of one shape whose odd items come late: one item near the
+    # end, or a tail of them as in augment's "coverage" and "eds".  Each as
+    # lists and as tuples, with the other items at the width edges.
     for width in range(0, 41, 5):
         pad = " " * width
         room = 76 - width - 2

@@ -26,6 +26,10 @@ SET_FILES = {
     "hex": ("hex:4x6", [(1, 1), (1, 5), (2, 3), (3, 1), (4, 4)]),
     "hex-torus": ("hex-torus:4x4", [(1, 1), (2, 3), (3, 3), (4, 1)]),
     "bad-coord": ("rect:3x3", [(1, 1), (4, 4)]),
+    # Boards whose coverage array fits on one line.
+    "rect-1x3": ("rect:1x3", [(1, 2)]),
+    "rect-1x3-conflicts": ("rect:1x3", [(1, 1), (1, 2)]),
+    "rect-1x1-empty": ("rect:1x1", []),
 }
 
 _MOTIF_CASES = [
@@ -57,6 +61,7 @@ _SOLVE_CASES = [
 
 CASES = dict(
     [
+        ("construct-eds-p2-1", ["construct", "eds-p2", "--n", "1"]),
         ("construct-eds-p2-7", ["construct", "eds-p2", "--n", "7"]),
         ("construct-eds-p2-4", ["construct", "eds-p2", "--n", "4"]),
         ("construct-p2-even-8", ["construct", "p2-even", "--n", "8"]),
@@ -84,6 +89,8 @@ CASES = dict(
         ("augment-rect-eds", ["augment", "@rect-eds"]),
         ("augment-rect-conflicts", ["augment", "@rect-conflicts"]),
         ("augment-tri", ["augment", "@tri"]),
+        ("augment-rect-1x3", ["augment", "@rect-1x3"]),
+        ("augment-rect-1x1-empty", ["augment", "@rect-1x1-empty"]),
         *[
             (f"render-{name}-{fmt}", ["render", "--format", fmt, f"@{name}"])
             for name in ("rect-voids", "rect-conflicts", "tri", "hex", "rect-torus", "tri-torus", "hex-torus")
@@ -104,12 +111,15 @@ CASES = dict(
 
 # case -> (exit code, sha256 of stdout)
 GOLDEN = {
+    "augment-rect-1x1-empty": (0, "2581579ad09580b2d81b3414dbdd53f1a2031a8cf52889da7bdea3aecd20b183"),
+    "augment-rect-1x3": (0, "9ef55a862c05d32388e2f0b301d35d4509ba017ecfa289b5acc29cebf56fa6ad"),
     "augment-rect-conflicts": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "augment-rect-eds": (0, "16da300de482b2c030074376a8aee440d8b39f425d599ff4a9dfbfca196d3740"),
     "augment-rect-voids": (0, "ce169224302ed1663be8c6ee7aa490ba7b812460b11e4196ce9ce660d25d97fe"),
     "augment-tri": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "conjecture-7-10": (0, "8f6dc08be664748495821f97909605b01aa378596f7da41ca7f69aaab469c442"),
     "conjecture-7-12-width-8": (0, "b770cb5563cac04dbecf457782fa644380a19abcfa74230c70505503e4b6f336"),
+    "construct-eds-p2-1": (0, "f5c8861ac9ee5428f480a12867bc9e1d9ea34fb20fbd201b85adfccf4ae9a5b9"),
     "construct-eds-p2-4": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "construct-eds-p2-7": (0, "818fb0845ada7a6064d2727aedcbfccc4eba0e9374ac039ab32740f64d3eb426"),
     "construct-knight-10": (0, "44f36fd9e41a5a7e04c3e12797ca8b0475b2f868a4a5cc199d2457b4f87a905e"),
@@ -190,6 +200,9 @@ GOLDEN = {
     "verify-bad-coord": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify-hex": (1, "0d8c9242390b7802fe0a37024943554c4095b4b2fb55452939fce00ad18a24ff"),
     "verify-hex-torus": (0, "e7ac26d5f575c9e63f3136129e91369271e5a4d59448b4cff3c36c44ce210067"),
+    "verify-rect-1x1-empty": (1, "4b806800f844ab9b9ef1ce7accd1328cd4f85f5b1dfb17bc4fdb8574f168c705"),
+    "verify-rect-1x3": (0, "d1c62752f793579850150c6baddea64815977c690ea6222ad75be140e8f367a9"),
+    "verify-rect-1x3-conflicts": (3, "6d0cf7187cfb683c781ea68baaee9d3b61a9d6b831df77ef7afce5072cd4e6df"),
     "verify-rect-conflicts": (3, "703d9acad582fbe04bffd196127e07b38c789759b811306043cc1f84fa6c94ac"),
     "verify-rect-eds": (0, "bf8529e33e4b0ec22e821a737f31fbd949bff24d559c42e1a4d417c363a7f573"),
     "verify-rect-eds-override": (1, "233522b6eef3ceee05fe982d89b9cf96a1c1729762878c6cf63f3a48fe710ca8"),
