@@ -30,7 +30,6 @@ import gc
 import json
 import os
 import sys
-from itertools import islice
 from typing import Iterable
 
 from . import constructions, periodic, solver
@@ -81,24 +80,22 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), default=_ite
 def _coverage(lattice: Lattice, report: DominationReport) -> _Lines:
     """The report's coverage array, formatted by lattice row.
 
-    The counts are in row-major order, so the items of row i are its prefix
-    ``[[i, `` joined to each column's ``j], `` and each count's ``c]``, with
-    every piece formatted once.  Vertices past the lattice's own, the
-    pendants of an augmented graph, follow as encoded pairs.
+    The counts are indexed by vertex id, so the items of row i are its
+    prefix ``[[i, `` joined to each column's ``j], `` and each count's
+    ``c]``, with every piece formatted once.  Vertices past the lattice's
+    own, the pendants of an augmented graph, follow as encoded pairs.
     """
-    coverage = report.coverage
-    counts = list(coverage.values())
+    counts = report.coverage
     marks = [f"{c}]" for c in range(max(counts) + 1)]
     cols = [f"{j}], " for j in range(1, lattice.cols + 1)]
-    lines, start = [], 0
-    for i in range(1, lattice.rows + 1):
+    lines = []
+    for i, row in enumerate(lattice.row_ids(), start=1):
         head = f"[[{i}, "
-        end = start + lattice._row_width(i)
-        lines += [head + col + marks[c] for col, c in zip(cols, counts[start:end])]
-        start = end
+        lines += [head + col + marks[c] for col, c in zip(cols, counts[row.start : row.stop])]
     # Rows, columns and counts only grow, so the last of each is the widest.
     width = len(head) + len(cols[-1]) + len(marks[-1])
-    for v, c in islice(coverage.items(), start, None):
+    start = lattice.vertex_count
+    for v, c in zip(report.order[start:], counts[start:]):
         lines.append(_encode((vertex_to_json(v), c)))
         width = max(width, len(lines[-1]))
     return _Lines(lines, width)

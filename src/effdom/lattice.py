@@ -135,6 +135,15 @@ class Lattice:
         """All vertices in row-major order."""
         return [(i, j) for i in range(1, self.rows + 1) for j in range(1, self._row_width(i) + 1)]
 
+    def row_ids(self) -> list[range]:
+        """The vertex ids of each row, in row order: they tile
+        ``range(vertex_count)``."""
+        rows, start = [], 0
+        for i in range(1, self.rows + 1):
+            rows.append(range(start, start + self._row_width(i)))
+            start = rows[-1].stop
+        return rows
+
     # -- adjacency ----------------------------------------------------------
 
     @cached_property
@@ -146,10 +155,7 @@ class Lattice:
         # would make a fresh int per entry), and no board-sized temporary is
         # freed: that raises the C allocator's mmap threshold, and later large
         # tables then stay resident after they are freed.
-        rows, start = [], 0
-        for i in range(1, self.rows + 1):
-            rows.append(list(range(start, start + self._row_width(i))))
-            start += len(rows[-1])
+        rows = list(map(list, self.row_ids()))
         build = {
             LatticeKind.RECTANGULAR: self._rect_adj,
             LatticeKind.TRIANGULAR: self._tri_adj,

@@ -16,7 +16,8 @@ A *graph* is any object with ``vertex_count`` and ``compiled``, its
 ids and sorted neighbour ids): lattices as well as the pendant-augmented
 graphs built by :mod:`effdom.constructions`.  The audit, the solvers and
 the SVG renderer read adjacency only from ``compiled``.  Coverage is
-counted over ids and reported per vertex in row-major order.
+counted and reported per vertex id: ``coverage[t]`` is the count of vertex
+``order[t]``, where ``order`` is the audited graph's ``compiled.order``.
 """
 
 from __future__ import annotations
@@ -53,9 +54,14 @@ def normalize_set(members: Iterable[Vertex]) -> tuple[Vertex, ...]:
 
 @dataclass(frozen=True)
 class DominationReport:
-    """Outcome of auditing a candidate set against a graph."""
+    """Outcome of auditing a candidate set against a graph.
 
-    coverage: dict[Vertex, int]
+    ``order`` is the audited graph's ``compiled.order`` (the same list, not
+    a copy) and ``coverage[t]`` counts the members that dominate vertex
+    ``order[t]``; voids and conflicts are listed in id order."""
+
+    order: list[Vertex]
+    coverage: list[int]
     voids: tuple[Vertex, ...]
     conflicts: tuple[Vertex, ...]
     is_two_packing: bool
@@ -80,7 +86,8 @@ def audit(graph: Any, members: Iterable[Vertex]) -> DominationReport:
             graph.require(v)  # raises InvalidCoordError naming the coord
         raise ValueError(f"{v!r} is not a vertex of the given graph")
 
-    counts = [0] * len(compiled.order)
+    order = compiled.order
+    counts = [0] * len(order)
     weight_sum = 0
     for t in sorted(ids):
         counts[t] += 1
@@ -89,16 +96,15 @@ def audit(graph: Any, members: Iterable[Vertex]) -> DominationReport:
         for s in neighbours:
             counts[s] += 1
 
-    order = compiled.order
-    coverage = dict(zip(order, counts))
-    voids = tuple(v for v, c in coverage.items() if c == 0)
-    conflicts = tuple(v for v, c in coverage.items() if c >= 2)
+    voids = tuple([order[t] for t, c in enumerate(counts) if c == 0])
+    conflicts = tuple([order[t] for t, c in enumerate(counts) if c >= 2])
     dominated = len(order) - len(voids)
     packing = not conflicts
     if packing and weight_sum != dominated:
         raise AssertionError("influence identity violated for a 2-packing")
     return DominationReport(
-        coverage=coverage,
+        order=order,
+        coverage=counts,
         voids=voids,
         conflicts=conflicts,
         is_two_packing=packing,
@@ -163,7 +169,7 @@ def report_to_json(report: DominationReport) -> dict:
         # Coverage pairs are (vertex, count) tuples, which encode as arrays.  A
         # coordinate stays the tuple it is; only pendants need vertex_to_json.
         "coverage": [
-            item if type(item[0]) is tuple else (vertex_to_json(item[0]), item[1])
-            for item in report.coverage.items()
+            (v, c) if type(v) is tuple else (vertex_to_json(v), c)
+            for v, c in zip(report.order, report.coverage)
         ],
     }

@@ -116,8 +116,7 @@ def expand_motif(motif: Motif, rows: int, cols: int) -> tuple[Coord, ...]:
     for x, y in motif.cells:
         columns.setdefault(x, []).append(y)
     expansion = []
-    for i in range(1, rows + 1):
-        last = window._row_width(i)
-        js = sorted(j for y in columns.get((i - 1) % p + 1, ()) for j in range(y, last + 1, q))
+    for i, row in enumerate(window.row_ids(), start=1):
+        js = sorted(j for y in columns.get((i - 1) % p + 1, ()) for j in range(y, len(row) + 1, q))
         expansion.extend((i, j) for j in js)
     return tuple(expansion)

@@ -29,30 +29,23 @@ class RenderStyle:
             raise ValueError("render glyphs must be three distinct symbols")
 
 
-def _glyph(v: Coord, members: set[Coord], coverage: dict, style: RenderStyle) -> str:
-    if v in members:
-        return style.dominator
-    return style.dominated if coverage.get(v, 0) else style.void
-
-
 def ascii_board(
     lattice: Lattice,
     members: tuple[Coord, ...],
     report: DominationReport,
     style: RenderStyle = RenderStyle(),
 ) -> str:
-    """One text row per lattice row; triangular rows are indented to shape."""
-    member_set = set(members)
-    lines = []
+    """One text row per lattice row; triangular rows are indented to shape.
+    ``report`` is the audit of ``members`` on ``lattice``."""
+    glyphs = [style.dominated if c else style.void for c in report.coverage]
+    index = lattice.compiled.index
+    for v in members:
+        glyphs[index[v]] = style.dominator
     triangular = lattice.kind is LatticeKind.TRIANGULAR and not lattice.torus
-    for i in range(1, lattice.rows + 1):
-        glyphs = [
-            _glyph((i, j), member_set, report.coverage, style)
-            for j in range(1, lattice._row_width(i) + 1)
-        ]
-        indent = " " * (i - 1) if triangular else ""
-        lines.append(indent + " ".join(glyphs))
-    return "\n".join(lines)
+    return "\n".join(
+        (" " * i if triangular else "") + " ".join(glyphs[row.start : row.stop])
+        for i, row in enumerate(lattice.row_ids())
+    )
 
 
 def _positions(lattice: Lattice) -> list[tuple[float, float]]:
@@ -112,11 +105,7 @@ def svg_lines(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">'
     )
-    rows, start = [], 0
-    for i in range(1, lattice.rows + 1):
-        end = start + lattice._row_width(i)
-        rows.append(range(start, end))
-        start = end
+    rows = lattice.row_ids()
     # On a torus, skip wrap-around edges: only draw neighbours that are
     # geometrically close.  A bounded board has no wrap edges to skip.
     reach = 1.8 * CELL
@@ -132,8 +121,7 @@ def svg_lines(
             yield "\n".join(lines)
     dominated_dot = f'r="{CELL / 7:.1f}" fill="black"'
     void_dot = f'r="{CELL / 3:.1f}" fill="white" stroke="black" stroke-width="1.5"'
-    # The coverage lists the vertices in id order.
-    dots = [dominated_dot if c else void_dot for c in report.coverage.values()]
+    dots = [dominated_dot if c else void_dot for c in report.coverage]
     for v in members:
         dots[graph.index[v]] = f'r="{CELL / 3:.1f}" fill="black"'
     for row in rows:

@@ -371,7 +371,7 @@ def reference_svg_lines(lattice, members, report):
         circles = []
         for t in row:
             v = graph.order[t]
-            dot = member_dot if v in member_set else dominated_dot if report.coverage.get(v, 0) else void_dot
+            dot = member_dot if v in member_set else dominated_dot if report.coverage[t] else void_dot
             x, y = labels[t]
             circles.append(f'<circle cx="{x}" cy="{y}" {dot}/>')
         yield "\n".join(circles)

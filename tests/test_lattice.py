@@ -60,6 +60,18 @@ def test_vertex_count_matches_enumeration(lat):
     assert len(set(verts)) == len(verts)
 
 
+@pytest.mark.parametrize("lat", SAMPLE_LATTICES, ids=lambda l: l.descriptor())
+def test_row_ids_tile_the_ids_row_by_row(lat):
+    rows = lat.row_ids()
+    assert len(rows) == lat.rows
+    assert all(type(row) is range and row.step == 1 for row in rows)
+    assert [t for row in rows for t in row] == list(range(lat.vertex_count))
+    verts = lat.vertices()
+    for i, row in enumerate(rows, start=1):
+        assert len(row) == sum(1 for v in verts if v[0] == i)
+        assert {verts[t][0] for t in row} <= {i}
+
+
 # -- adjacency ----------------------------------------------------------------
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compiled_neighbors, greedy_random_packing, pairwise_distances_ok
+from conftest import compiled_neighbors, greedy_random_packing, pairwise_distances_ok, reference_adjacency
 from effdom.constructions import Pendant, fset_square_small, near_grid_augment
-from effdom.lattice import InvalidCoordError, hexa, rect, tri
+from effdom.lattice import InvalidCoordError, Lattice, hexa, rect, tri
 from effdom.packing import (
     _sort_key,
     audit,
@@ -200,10 +200,58 @@ def test_subsets_of_packings_are_packings():
 def test_coverage_counts_every_vertex_once():
     lat = tri(5)
     report = audit(lat, [(1, 1)])
-    assert set(report.coverage) == set(lat.vertices())
-    assert report.coverage[(1, 1)] == 1
-    assert report.coverage[(1, 2)] == 1
-    assert report.coverage[(1, 4)] == 0
+    assert report.order == lat.vertices()
+    assert len(report.coverage) == len(report.order)
+    index = lat.compiled.index
+    assert report.coverage[index[(1, 1)]] == 1
+    assert report.coverage[index[(1, 2)]] == 1
+    assert report.coverage[index[(1, 4)]] == 0
+
+
+def _reference_counts(graph, members):
+    """How many members dominate each vertex, from ``reference_adjacency``."""
+    adjacency = reference_adjacency(graph)
+    counts = dict.fromkeys(adjacency, 0)
+    for m in set(members):
+        for v in (m, *adjacency[m]):
+            counts[v] += 1
+    return counts
+
+
+_COVERAGE_GRAPHS = [
+    rect(5, 7),
+    rect(5, 6, torus=True),
+    tri(6),
+    tri(5, 5, torus=True),
+    hexa(5, 6),
+    hexa(4, 6, torus=True),
+    near_grid_augment(rect(5, 6), ((1, 1), (3, 4)))[0],
+]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    _COVERAGE_GRAPHS,
+    ids=[g.descriptor() if isinstance(g, Lattice) else "rect:5x6+pendants" for g in _COVERAGE_GRAPHS],
+)
+def test_coverage_is_indexed_by_vertex_id(graph):
+    # Ids are row-major over the lattice, then the pendants in their order.
+    if isinstance(graph, Lattice):
+        ordered = graph.vertices()
+    else:
+        ordered = graph.base.vertices() + list(graph.pendants)
+    rng = random.Random(graph.vertex_count)
+    for share in (0.0, 0.15, 0.4):
+        members = [v for v in ordered if rng.random() < share]
+        rng.shuffle(members)
+        report = audit(graph, members)
+        assert report.order is graph.compiled.order
+        assert report.order == ordered
+        assert len(report.coverage) == graph.vertex_count
+        expected = _reference_counts(graph, members)
+        assert report.coverage == [expected[v] for v in ordered]
+        assert report.voids == tuple(v for v in ordered if expected[v] == 0)
+        assert report.conflicts == tuple(v for v in ordered if expected[v] >= 2)
 
 
 # -- JSON forms ----------------------------------------------------------------
@@ -255,7 +303,7 @@ def test_report_json_mirrors_fields():
         "weight_sum": 11,
         "voids": [],
         "conflicts": [],
-        "coverage": [[vertex_to_json(v), c] for v, c in report.coverage.items()],
+        "coverage": [[vertex_to_json(v), c] for v, c in zip(report.order, report.coverage)],
     }
     assert {"pendant": 1, "attached_to": [2, 3]} in [v for v, _ in listed["coverage"]]
     assert json.loads(json.dumps(report_to_json(report))) == listed

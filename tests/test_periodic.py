@@ -32,7 +32,7 @@ def test_rect_motif_is_perfect_for_every_residue(c):
     assert motif.density == pytest.approx(1 / 5)
     report = verify_perfect(motif)
     assert report.is_eds
-    assert all(count == 1 for count in report.coverage.values())
+    assert all(count == 1 for count in report.coverage)
 
 
 def test_rect_motif_pairwise_torus_distance():
@@ -134,7 +134,7 @@ def test_hex_motif_density_and_perfection():
     assert motif.density == pytest.approx(1 / 4)
     report = verify_perfect(motif)
     assert report.is_eds
-    assert all(count == 1 for count in report.coverage.values())
+    assert all(count == 1 for count in report.coverage)
 
 
 def test_hex_motif_faces_hold_two_opposite_cells_or_none():
@@ -301,9 +301,10 @@ def test_expand_interior_coverage_is_exactly_one(motif, rows, cols):
     report = audit(window, cells)
     assert report.is_two_packing
     boundary = _boundary_distance(window)
+    index = window.compiled.index
     for v in window.vertices():
         if boundary[v] >= 2:
-            assert report.coverage[v] == 1
+            assert report.coverage[index[v]] == 1
 
 
 def test_tri_window_must_be_square():
