@@ -14,7 +14,13 @@ neighbourhoods of later includes are disjoint, uncovered and inside that
 set, and each adds its size.  So only branches that cannot strictly beat
 the best are cut, the first optimum in include-first preorder is still
 entered, and F and the witness are those of the plain search without
-cuts.  Its ``explored`` counts the search nodes entered under this bound.
+cuts.  On a torus the search starts at the child that includes vertex 0.
+Every torus lattice is vertex-transitive, so an automorphism maps some
+optimal 2-packing onto one that holds vertex 0.  The include-first
+preorder enters that whole subtree before any node that skips vertex 0,
+so the first optimum lies in it and the skip-0 subtree cannot strictly
+beat it.  Its ``explored`` counts the search nodes entered under this
+bound.
 
 ``dp_F_rect`` sweeps a bounded rectangular grid column by column with a
 two-column bitmask profile:
@@ -111,7 +117,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .constructions import lower_bound_F
-from .lattice import MAX_VERTICES, rect
+from .lattice import MAX_VERTICES, Lattice, rect
 from .packing import Vertex, audit, normalize_set, transpose_set
 
 BRUTE_FORCE_LIMIT = 49
@@ -122,7 +128,9 @@ DP_WIDTH_LIMIT = 16
 class SolveResult:
     """An exact F and an audited witness of it.
 
-    ``explored`` counts the search nodes entered for ``brute_force_F``.
+    ``explored`` counts the search nodes entered for ``brute_force_F``:
+    the root, or on a torus the include-vertex-0 child the search starts
+    at, and every node entered below it.
     For ``dp_F_rect`` it counts the slot values the sweep produced,
     len(canonical) for each column whose vector is produced: columns 1
     and 2, built in closed form, and every later swept column, stepped.
@@ -153,6 +161,14 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     cut.  The witness is therefore the first optimum in include-before-skip
     preorder, as without any cut, and ``explored`` counts the nodes entered
     under this bound.
+
+    On a torus lattice the search enters only the subtree that includes
+    vertex 0.  Some automorphism sends each vertex to vertex 0, so some
+    optimal 2-packing holds it.  That subtree precedes every skip-0 node in
+    include-first preorder, so it holds the first optimum, the witness of
+    the whole search, and F and the witness are unchanged.  The cut is
+    sound only while ``test_torus_maps_every_vertex_to_zero`` in
+    ``tests/test_solver.py`` finds such an automorphism for every vertex.
     """
     count = graph.vertex_count
     if count > limit:
@@ -177,12 +193,16 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     for t in range(count - 1, -1, -1):
         reach[t] = reach[t + 1] | closed[t]
 
-    # The root (no vertex chosen, value 0) is the first optimum reached.
-    best_value = 0
-    best_chosen = 0
+    # The search starts at the root (no vertex chosen, value 0) or, on a
+    # torus, at the root's include-vertex-0 child: the first optimum reached.
+    if isinstance(graph, Lattice) and graph.torus:
+        start = (1, weights[0], closed[0], 1)
+    else:
+        start = (0, 0, 0, 0)
+    _, best_value, _, best_chosen = start
     explored = 0
     # Each entry is a skip branch still to enter: (t, value, covered, chosen).
-    stack = [(0, 0, 0, 0)]
+    stack = [start]
     push = stack.append
     pop = stack.pop
     while stack:

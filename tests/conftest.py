@@ -166,10 +166,12 @@ def reference_dp_rect(m, n):
     return max(states.values())
 
 
-def _recursive_search(graph, bound):
+def _recursive_search(graph, bound, torus_cut):
     """Exact (F, witness, explored) by the recursive include-first search
     over coverage counts.  A node is cut once value + bound(t, coverage)
-    cannot beat the best value found so far."""
+    cannot beat the best value found so far.  With torus_cut, a torus
+    lattice's search starts at the root's include-vertex-0 child, which
+    counts as the first node, and the root is not entered."""
     adjacency = reference_adjacency(graph)
     order = list(adjacency)
     count = len(order)
@@ -202,7 +204,13 @@ def _recursive_search(graph, bound):
                 coverage[x] -= 1
         dfs(t + 1, value)
 
-    dfs(0, 0)
+    if torus_cut and isinstance(graph, Lattice) and graph.torus:
+        for x in closed[0]:
+            coverage[x] += 1
+        chosen.append(0)
+        dfs(1, weights[0])
+    else:
+        dfs(0, 0)
     witness = normalize_set(order[t] for t in best_set)
     return best_value, witness, explored
 
@@ -222,11 +230,12 @@ def _suffix_sum(weights, closed):
     return lambda t, coverage: suffix[t]
 
 
-def reference_brute_force(graph):
+def reference_brute_force(graph, torus_cut=True):
     """The recursive form of ``brute_force_F``, bounded by the uncovered
     vertices that a later vertex could still dominate; kept as the oracle
-    for its values, witnesses and node counts."""
-    return _recursive_search(graph, _uncovered_reach)
+    for its values, witnesses and node counts.  With torus_cut=False a
+    torus is searched from the root, as on any other graph."""
+    return _recursive_search(graph, _uncovered_reach, torus_cut)
 
 
 def reference_suffix_search(graph):
@@ -235,7 +244,7 @@ def reference_suffix_search(graph):
     branches that cannot beat the best value so far, so both keep the
     first optimum in include-first preorder: F and witness must match
     ``reference_brute_force`` and ``brute_force_F``."""
-    return _recursive_search(graph, _suffix_sum)
+    return _recursive_search(graph, _suffix_sum, torus_cut=True)
 
 
 def reference_knight(n):

@@ -171,13 +171,13 @@ GOLDEN = {
     "render-tri-svg": (0, "e8b06eef3643e62424e804d10153713fa42de55564165724109fa1e1cc67cc5c"),
     "render-tri-torus-ascii": (0, "5ba6fc17b170dacde604343541a2fe612a0e5160bf36fe3a1b4f56c06e3e68a8"),
     "render-tri-torus-svg": (0, "796dda47c6a116e5616aa21686e1acea0d98e1a53a902f4fc6656e6c6ad74740"),
-    "solve-hex-torus:4x6-auto": (0, "bc43bcfa63c1eb28f46c792871cb9212de0b690dbbb91b581552112db6b66eb0"),
-    "solve-hex-torus:4x6-brute": (0, "bc43bcfa63c1eb28f46c792871cb9212de0b690dbbb91b581552112db6b66eb0"),
+    "solve-hex-torus:4x6-auto": (0, "5e15d9d349a80aa011175783a726751990e27b8e6241da78be13fc89dcfd8846"),
+    "solve-hex-torus:4x6-brute": (0, "5e15d9d349a80aa011175783a726751990e27b8e6241da78be13fc89dcfd8846"),
     "solve-hex:4x6-auto": (0, "8486074e7fd92cde7cfcfd03de5ca3011b466987b96db21c7d350a246405f4ed"),
     "solve-hex:4x6-brute": (0, "8486074e7fd92cde7cfcfd03de5ca3011b466987b96db21c7d350a246405f4ed"),
     "solve-hex:4x6-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "solve-rect-torus:5x5-auto": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
-    "solve-rect-torus:5x5-brute": (0, "03b3c490bc73c3e105087b5ce8426ecbbc5de1621c4f8b79aa3867ae44c6e397"),
+    "solve-rect-torus:5x5-auto": (0, "aa0f50cc8c4a21088ec0752fb82e40ad0aabdb45aa29473c1c56b3678f097f5f"),
+    "solve-rect-torus:5x5-brute": (0, "aa0f50cc8c4a21088ec0752fb82e40ad0aabdb45aa29473c1c56b3678f097f5f"),
     "solve-rect-torus:5x5-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "solve-rect:16x2-auto": (0, "2e2c8360679df6194e4c7d3dc012ea13f148ea1a7889e931c0fa90b67cf9ca0b"),
     "solve-rect:16x2-dp": (0, "2e2c8360679df6194e4c7d3dc012ea13f148ea1a7889e931c0fa90b67cf9ca0b"),
@@ -190,8 +190,8 @@ GOLDEN = {
     "solve-rect:5x5-brute": (0, "3b1a29ce29c93ec28c51cc3701b9b8731886e2b8b757836c158972d87204d588"),
     "solve-rect:5x5-dp": (0, "dbfb762f662ea14e60df2e7ac4cbad876a5536764ebf805c70d3e0609bdc7db6"),
     "solve-rect:8x8-brute": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "solve-tri-torus:4x4-auto": (0, "e01f377781e98234e4398243a8ccf80880eabc68ee3ad15a5ff4b3104ccf3cc1"),
-    "solve-tri-torus:4x4-brute": (0, "e01f377781e98234e4398243a8ccf80880eabc68ee3ad15a5ff4b3104ccf3cc1"),
+    "solve-tri-torus:4x4-auto": (0, "2ac6a94b226fd0b149d7b7f0d32bbbac89ede42a52c50e0f4dda97a948ab809d"),
+    "solve-tri-torus:4x4-brute": (0, "2ac6a94b226fd0b149d7b7f0d32bbbac89ede42a52c50e0f4dda97a948ab809d"),
     "solve-tri:6-auto": (0, "dbe1a7c516187de0c4ebc0a3e41426f8100066b7f6534f6d58a8db87523879e7"),
     "solve-tri:6-brute": (0, "dbe1a7c516187de0c4ebc0a3e41426f8100066b7f6534f6d58a8db87523879e7"),
     "solve-tri:6-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

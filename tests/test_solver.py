@@ -10,7 +10,7 @@ from conftest import (
     reference_dp_rect,
     reference_suffix_search,
 )
-from effdom.lattice import MAX_VERTICES, Lattice, hexa, rect, tri
+from effdom.lattice import MAX_VERTICES, Lattice, LatticeKind, hexa, rect, tri
 from effdom.packing import audit, transpose_set
 from effdom.solver import (
     ConjectureRow,
@@ -142,17 +142,83 @@ def test_brute_keeps_suffix_bound_optimum(graph):
     "descriptor, f_value, explored",
     [
         ("hex:6x8", 47, 532),
-        ("hex-torus:6x8", 48, 4_000),
+        ("hex-torus:6x8", 48, 3_998),
         ("rect:7x7", 44, 9_060),
-        ("rect-torus:7x7", 40, 103_074),
+        ("rect-torus:7x7", 40, 13_949),
         ("tri:9", 39, 6_461),
-        ("tri-torus:7x7", 49, 1_824),
+        ("tri-torus:7x7", 49, 1_822),
     ],
 )
 def test_brute_node_counts(descriptor, f_value, explored):
     # Pinned work: a looser bound would enter more nodes and fail here.
     result = brute_force_F(Lattice.from_descriptor(descriptor))
     assert (result.f_value, result.explored) == (f_value, explored)
+
+
+def _tori(low, high):
+    """Every torus lattice with both periods in low..high, hexagonal ones
+    with even periods only."""
+    return [
+        Lattice(kind, m, n, torus=True)
+        for kind in LatticeKind
+        for m in range(low, high + 1)
+        for n in range(low, high + 1)
+        if kind is not LatticeKind.HEXAGONAL or (m >= 4 and n >= 4 and m % 2 == n % 2 == 0)
+    ]
+
+
+def _automorphism_to_zero(lattice, v):
+    """Signs (si, sj) of a map (i, j) -> (si * i + a, sj * j + b), taken
+    mod the periods, that sends v to vertex 0 and maps ``compiled.adj``
+    onto itself as an edge set; None when no sign pair does."""
+    compiled = lattice.compiled
+    edges = {(t, s) for t, ids in enumerate(compiled.adj) for s in ids}
+    vi, vj = v
+    for si, sj in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        image = [
+            compiled.index[(si * (i - vi) % lattice.rows + 1, sj * (j - vj) % lattice.cols + 1)]
+            for i, j in compiled.order
+        ]
+        if sorted(image) == list(range(len(image))) and {(image[t], image[s]) for t, s in edges} == edges:
+            return si, sj
+    return None
+
+
+@pytest.mark.parametrize("lattice", _tori(3, 8), ids=Lattice.descriptor)
+def test_torus_maps_every_vertex_to_zero(lattice):
+    # The gate of brute_force_F's torus cut: each torus is vertex-transitive,
+    # so some optimal 2-packing holds vertex 0.  Translations suffice on rect
+    # and tri tori; on a brick wall a translation keeps the parity rule only
+    # when a + b is even, and a vertex with i + j odd needs the row flip.
+    assert lattice.compiled.order[0] == (1, 1)
+    for i, j in lattice.vertices():
+        flip = lattice.kind is LatticeKind.HEXAGONAL and (i + j) % 2
+        assert _automorphism_to_zero(lattice, (i, j)) == ((-1, 1) if flip else (1, 1)), (i, j)
+
+
+SMALL_TORI = [lattice for lattice in _tori(3, 13) if lattice.vertex_count <= 40]
+
+
+@pytest.mark.parametrize("lattice", SMALL_TORI, ids=Lattice.descriptor)
+def test_brute_torus_cut_matches_uncut_search(lattice):
+    result = brute_force_F(lattice)
+    f_value, witness, explored = reference_brute_force(lattice, torus_cut=False)
+    assert (result.f_value, result.witness) == (f_value, witness)
+    assert result.witness[0] == (1, 1)
+    assert result.explored < explored
+
+
+@pytest.mark.parametrize(
+    "descriptor, f_value, perfect",
+    [("tri-torus:9x9", 63, False), ("hex-torus:8x12", 96, True), ("rect-torus:8x8", 50, False)],
+)
+def test_brute_torus_past_default_limit(descriptor, f_value, perfect):
+    # The torus cut makes these cheap (a fraction of a second each).
+    lattice = Lattice.from_descriptor(descriptor)
+    result = brute_force_F(lattice, limit=lattice.vertex_count)
+    report = audit(lattice, result.witness)
+    assert result.f_value == report.influence == f_value
+    assert report.is_two_packing and report.is_eds == perfect
 
 
 def test_brute_above_default_limit_matches_dp():
