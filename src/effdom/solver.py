@@ -19,8 +19,17 @@ Every torus lattice is vertex-transitive, so an automorphism maps some
 optimal 2-packing onto one that holds vertex 0.  The include-first
 preorder enters that whole subtree before any node that skips vertex 0,
 so the first optimum lies in it and the skip-0 subtree cannot strictly
-beat it.  Its ``explored`` counts the search nodes entered under this
-bound.
+beat it.  On a rect or tri torus every translation is an automorphism
+too, and the search also keeps the difference rule: once the second
+member s2 is chosen, it forbids each later vertex v that some member u
+meets with v - u or u - v at an offset whose row-major id is below s2,
+and it refuses an s2 whose negative -s2 has an id below s2.  The first
+optimum S* is the lex-leader of its orbit (Crawford, Ginsberg, Luks &
+Roy, KR 1996): S* translated by -u, for a member u, is an optimum
+holding 0 and v - u, and an id of v - u below s2 would give it a
+smaller second member and put it before S* in include-first preorder.
+So S* obeys the rule and stays the first optimum.  Its ``explored``
+counts the search nodes entered under this bound and these rules.
 
 ``dp_F_rect`` sweeps a bounded rectangular grid column by column with a
 two-column bitmask profile:
@@ -117,7 +126,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .constructions import lower_bound_F
-from .lattice import MAX_VERTICES, Lattice, rect
+from .lattice import MAX_VERTICES, Lattice, LatticeKind, rect
 from .packing import Vertex, audit, normalize_set, transpose_set
 
 BRUTE_FORCE_LIMIT = 49
@@ -130,7 +139,8 @@ class SolveResult:
 
     ``explored`` counts the search nodes entered for ``brute_force_F``:
     the root, or on a torus the include-vertex-0 child the search starts
-    at, and every node entered below it.
+    at, and every node entered below it; on a rect or tri torus, only
+    nodes whose members obey the difference rule.
     For ``dp_F_rect`` it counts the slot values the sweep produced,
     len(canonical) for each column whose vector is produced: columns 1
     and 2, built in closed form, and every later swept column, stepped.
@@ -169,6 +179,15 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     the whole search, and F and the witness are unchanged.  The cut is
     sound only while ``test_torus_maps_every_vertex_to_zero`` in
     ``tests/test_solver.py`` finds such an automorphism for every vertex.
+
+    On a rect or tri torus, the search also enters only sets whose member
+    differences all have row-major ids of at least the second member s2
+    (see the module docstring).  Translating the witness by minus any
+    member gives an optimum holding vertex 0, so a smaller difference
+    would make that optimum come first; the rule keeps F and the witness.
+    It is sound only while ``test_torus_translations_are_automorphisms``
+    finds that every translation maps these tori onto themselves.  Hex
+    tori and bounded boards keep the plain search.
     """
     count = graph.vertex_count
     if count > limit:
@@ -193,42 +212,49 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     for t in range(count - 1, -1, -1):
         reach[t] = reach[t + 1] | closed[t]
 
-    # The search starts at the root (no vertex chosen, value 0) or, on a
-    # torus, at the root's include-vertex-0 child: the first optimum reached.
-    if isinstance(graph, Lattice) and graph.torus:
-        start = (1, weights[0], closed[0], 1)
+    torus = isinstance(graph, Lattice) and graph.torus
+    if torus and graph.kind is not LatticeKind.HEXAGONAL:
+        best_value, best_chosen, explored = _translation_search(
+            graph.rows, graph.cols, closed, weights, reach
+        )
     else:
-        start = (0, 0, 0, 0)
-    _, best_value, _, best_chosen = start
-    explored = 0
-    # Each entry is a skip branch still to enter: (t, value, covered, chosen).
-    stack = [start]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        t, value, covered, chosen = pop()
-        # Walk the include-first spine: the popped node and each step to
-        # t + 1 enter one node, so the walk enters 1 + (final t - popped t)
-        # nodes.  A failed loop test prunes the node just entered; reach[count]
-        # is 0 and value never exceeds best_value, so the spine also ends
-        # after the last vertex.
-        explored += 1 - t
-        while value + (reach[t] & ~covered).bit_count() > best_value:
-            mask = closed[t]
-            # Chosen closed neighbourhoods are disjoint, so t can join
-            # exactly when none of its closed neighbourhood is covered.
-            if not covered & mask:
-                push((t + 1, value, covered, chosen))
-                covered |= mask
-                chosen |= 1 << t
-                value += weights[t]
-                # Only an include raises the value; a skip child keeps its
-                # parent's value, which never beats best_value.
-                if value > best_value:
-                    best_value = value
-                    best_chosen = chosen
-            t += 1
-        explored += t
+        # The search starts at the root (no vertex chosen, value 0) or, on a
+        # hex torus, at the root's include-vertex-0 child: the first optimum
+        # reached.  The loop stays in this function: CPython 3.11 specialises
+        # a function's bytecode after a few entries or `for` iterations, not
+        # `while` iterations, so a helper called once would run this loop
+        # unspecialised (rect:8x8 7.0 -> 9.6 ms, 2-vCPU box).
+        start = (1, weights[0], closed[0], 1) if torus else (0, 0, 0, 0)
+        _, best_value, _, best_chosen = start
+        explored = 0
+        # Each entry is a skip branch still to enter: (t, value, covered, chosen).
+        stack = [start]
+        push = stack.append
+        pop = stack.pop
+        while stack:
+            t, value, covered, chosen = pop()
+            # Walk the include-first spine: the popped node and each step to
+            # t + 1 enter one node, so the walk enters 1 + (final t - popped
+            # t) nodes.  A failed loop test prunes the node just entered;
+            # reach[count] is 0 and value never exceeds best_value, so the
+            # spine also ends after the last vertex.
+            explored += 1 - t
+            while value + (reach[t] & ~covered).bit_count() > best_value:
+                mask = closed[t]
+                # Chosen closed neighbourhoods are disjoint, so t can join
+                # exactly when none of its closed neighbourhood is covered.
+                if not covered & mask:
+                    push((t + 1, value, covered, chosen))
+                    covered |= mask
+                    chosen |= 1 << t
+                    value += weights[t]
+                    # Only an include raises the value; a skip child keeps
+                    # its parent's value, which never beats best_value.
+                    if value > best_value:
+                        best_value = value
+                        best_chosen = chosen
+                t += 1
+            explored += t
 
     # Compiled order is row-major with pendants last, the order of
     # normalize_set, so the members are listed as read.
@@ -238,6 +264,85 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     if not report.is_two_packing or report.influence != best_value:
         raise AssertionError("brute-force witness failed its audit")
     return SolveResult(f_value=best_value, witness=witness, explored=explored, elapsed=elapsed)
+
+
+def _translation_search(
+    rows: int, cols: int, closed: list[int], weights: list[int], reach: list[int]
+) -> tuple[int, int, int]:
+    """(best value, best chosen mask, nodes entered) of
+    ``brute_force_F``'s search from the include-vertex-0 child of a
+    rows x cols rect or tri torus, under the difference rule: once the
+    second member s2 is chosen, no two members differ by an offset whose
+    id is below s2, and no s2 has a negative with a smaller id.  A loop
+    of its own, so that other graphs keep their per-node work.
+
+    Bits count..2 count - 1 of ``covered`` are a second plane, the
+    vertices the rule forbids, and vertex t's mask carries bit count + t,
+    so the one test ``covered & mask`` checks both rules.  Before s2 the
+    plane holds every vertex whose negative has a smaller id.  Choosing
+    s2 replaces it with near[s2] translated to vertices 0 and s2, and
+    each later member u adds near[s2] translated to u.  Nodes are
+    entered in include-first preorder, so every node with two or more
+    members lies in the subtree of the latest s2, and one table per s2
+    serves them.
+    """
+    count = len(closed)
+    low = (1 << count) - 1
+    # Vertex d = (i, j), id i * cols + j, is also the offset (i, j); neg[d]
+    # is the id of -d.
+    neg = [-i % rows * cols + -j % cols for i in range(rows) for j in range(cols)]
+    # near[k]: every offset with id below k and its negative.  This `for`
+    # loop also gets the bytecode specialised before the search starts (see
+    # the comment on the loop in brute_force_F).
+    near = [0] * count
+    for d in range(1, count):
+        near[d] = near[d - 1] | 1 << d - 1 | 1 << neg[d - 1]
+    # Column 0 of every row; a translate by (a, b) rotates each row by b,
+    # then the rows by a.
+    first = sum(1 << i for i in range(0, count, cols))
+    wraps = [(first * ((1 << cols - b) - 1), first * ((1 << b) - 1)) for b in range(cols)]
+
+    def translate(x: int, t: int) -> int:
+        a, b = divmod(t, cols)
+        keep, wrap = wraps[b]
+        x = (x & keep) << b | x >> cols - b & wrap
+        return (x << a * cols | x >> count - a * cols) & low
+
+    marked = [mask | 1 << count + t for t, mask in enumerate(closed)]
+    refused = sum(1 << count + t for t in range(count) if neg[t] < t)
+    best_value = weights[0]
+    best_chosen = 1
+    explored = 0
+    stack = [(1, best_value, marked[0] | refused, 1)]
+    push = stack.append
+    pop = stack.pop
+    # The walk of brute_force_F's loop; only the include step differs.
+    while stack:
+        t, value, covered, chosen = pop()
+        explored += 1 - t
+        while value + (reach[t] & ~covered).bit_count() > best_value:
+            mask = marked[t]
+            if not covered & mask:
+                push((t + 1, value, covered, chosen))
+                if chosen == 1:
+                    # t is s2: cover[u] is u's mask and its forbidden
+                    # plane, computed once per u.
+                    around = near[t]
+                    cover = [0] * count
+                    covered = covered & low | mask | (around | translate(around, t)) << count
+                else:
+                    spread = cover[t]
+                    if not spread:
+                        spread = cover[t] = mask | translate(around, t) << count
+                    covered |= spread
+                chosen |= 1 << t
+                value += weights[t]
+                if value > best_value:
+                    best_value = value
+                    best_chosen = chosen
+            t += 1
+        explored += t
+    return best_value, best_chosen, explored
 
 
 # -- column-profile dynamic program -------------------------------------------

@@ -166,12 +166,16 @@ def reference_dp_rect(m, n):
     return max(states.values())
 
 
-def _recursive_search(graph, bound, torus_cut):
+def _recursive_search(graph, bound, torus_cut, difference_rule):
     """Exact (F, witness, explored) by the recursive include-first search
     over coverage counts.  A node is cut once value + bound(t, coverage)
     cannot beat the best value found so far.  With torus_cut, a torus
     lattice's search starts at the root's include-vertex-0 child, which
-    counts as the first node, and the root is not entered."""
+    counts as the first node, and the root is not entered.  With
+    difference_rule too, on a rect or tri torus a vertex joins only when
+    each member differs from it both ways by an offset (taken mod the
+    periods) whose row-major id is at least the second member's id; a
+    candidate second member counts as that member."""
     adjacency = reference_adjacency(graph)
     order = list(adjacency)
     count = len(order)
@@ -179,12 +183,32 @@ def _recursive_search(graph, bound, torus_cut):
     weights = [1 + len(adjacency[v]) for v in order]
     closed = [[index[v]] + [index[u] for u in adjacency[v]] for v in order]
     optimistic = bound(weights, closed)
+    translated = (
+        torus_cut
+        and difference_rule
+        and isinstance(graph, Lattice)
+        and graph.torus
+        and graph.kind is not LatticeKind.HEXAGONAL
+    )
+
+    def offset_id(u, v):
+        # The row-major id of the offset v - u on the torus.
+        return (v[0] - u[0]) % graph.rows * graph.cols + (v[1] - u[1]) % graph.cols
 
     coverage = [0] * count
     chosen = []
     best_value = -1
     best_set = []
     explored = 0
+
+    def may_join(t):
+        if not all(coverage[x] == 0 for x in closed[t]):
+            return False
+        if not translated:
+            return True
+        s2 = chosen[1] if len(chosen) > 1 else t
+        v = order[t]
+        return all(min(offset_id(order[u], v), offset_id(v, order[u])) >= s2 for u in chosen)
 
     def dfs(t, value):
         nonlocal best_value, best_set, explored
@@ -194,7 +218,7 @@ def _recursive_search(graph, bound, torus_cut):
             best_set = list(chosen)
         if t == count or value + optimistic(t, coverage) <= best_value:
             return
-        if all(coverage[x] == 0 for x in closed[t]):
+        if may_join(t):
             for x in closed[t]:
                 coverage[x] += 1
             chosen.append(t)
@@ -230,12 +254,14 @@ def _suffix_sum(weights, closed):
     return lambda t, coverage: suffix[t]
 
 
-def reference_brute_force(graph, torus_cut=True):
+def reference_brute_force(graph, torus_cut=True, difference_rule=True):
     """The recursive form of ``brute_force_F``, bounded by the uncovered
     vertices that a later vertex could still dominate; kept as the oracle
     for its values, witnesses and node counts.  With torus_cut=False a
-    torus is searched from the root, as on any other graph."""
-    return _recursive_search(graph, _uncovered_reach, torus_cut)
+    torus is searched from the root, as on any other graph, and with
+    difference_rule=False a rect or tri torus is searched from the
+    include-vertex-0 child without the difference rule."""
+    return _recursive_search(graph, _uncovered_reach, torus_cut, difference_rule)
 
 
 def reference_suffix_search(graph):
@@ -244,7 +270,7 @@ def reference_suffix_search(graph):
     branches that cannot beat the best value so far, so both keep the
     first optimum in include-first preorder: F and witness must match
     ``reference_brute_force`` and ``brute_force_F``."""
-    return _recursive_search(graph, _suffix_sum, torus_cut=True)
+    return _recursive_search(graph, _suffix_sum, torus_cut=True, difference_rule=True)
 
 
 def reference_knight(n):

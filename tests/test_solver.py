@@ -144,9 +144,9 @@ def test_brute_keeps_suffix_bound_optimum(graph):
         ("hex:6x8", 47, 532),
         ("hex-torus:6x8", 48, 3_998),
         ("rect:7x7", 44, 9_060),
-        ("rect-torus:7x7", 40, 13_949),
+        ("rect-torus:7x7", 40, 4_869),
         ("tri:9", 39, 6_461),
-        ("tri-torus:7x7", 49, 1_822),
+        ("tri-torus:7x7", 49, 932),
     ],
 )
 def test_brute_node_counts(descriptor, f_value, explored):
@@ -196,6 +196,26 @@ def test_torus_maps_every_vertex_to_zero(lattice):
         assert _automorphism_to_zero(lattice, (i, j)) == ((-1, 1) if flip else (1, 1)), (i, j)
 
 
+@pytest.mark.parametrize(
+    "lattice",
+    [t for t in _tori(3, 8) if t.kind is not LatticeKind.HEXAGONAL],
+    ids=Lattice.descriptor,
+)
+def test_torus_translations_are_automorphisms(lattice):
+    # The gate of brute_force_F's difference rule on rect and tri tori:
+    # every translation (i, j) -> (i + a, j + b), taken mod the periods,
+    # maps compiled.adj onto itself as an edge set.
+    compiled = lattice.compiled
+    edges = {(t, s) for t, ids in enumerate(compiled.adj) for s in ids}
+    for a in range(lattice.rows):
+        for b in range(lattice.cols):
+            image = [
+                compiled.index[((i - 1 + a) % lattice.rows + 1, (j - 1 + b) % lattice.cols + 1)]
+                for i, j in compiled.order
+            ]
+            assert {(image[t], image[s]) for t, s in edges} == edges, (a, b)
+
+
 SMALL_TORI = [lattice for lattice in _tori(3, 13) if lattice.vertex_count <= 40]
 
 
@@ -209,11 +229,33 @@ def test_brute_torus_cut_matches_uncut_search(lattice):
 
 
 @pytest.mark.parametrize(
+    "lattice",
+    [t for t in SMALL_TORI if t.kind is not LatticeKind.HEXAGONAL],
+    ids=Lattice.descriptor,
+)
+def test_brute_difference_rule_matches_vertex_zero_search(lattice):
+    # The difference rule keeps F and the witness of the search from the
+    # include-vertex-0 child without it, and enters no more nodes: exactly
+    # those of the reference search under the rule on coordinates.
+    result = brute_force_F(lattice)
+    f_value, witness, explored = reference_brute_force(lattice, difference_rule=False)
+    assert (result.f_value, result.witness) == (f_value, witness)
+    assert result.explored <= explored
+    assert (result.f_value, result.witness, result.explored) == reference_brute_force(lattice)
+
+
+@pytest.mark.parametrize(
     "descriptor, f_value, perfect",
-    [("tri-torus:9x9", 63, False), ("hex-torus:8x12", 96, True), ("rect-torus:8x8", 50, False)],
+    [
+        ("tri-torus:9x9", 63, False),
+        ("hex-torus:8x12", 96, True),
+        ("rect-torus:8x8", 50, False),
+        ("rect-torus:9x9", 65, False),
+    ],
 )
 def test_brute_torus_past_default_limit(descriptor, f_value, perfect):
-    # The torus cut makes these cheap (a fraction of a second each).
+    # The torus cut and the difference rule make these cheap (a fraction
+    # of a second each).
     lattice = Lattice.from_descriptor(descriptor)
     result = brute_force_F(lattice, limit=lattice.vertex_count)
     report = audit(lattice, result.witness)
