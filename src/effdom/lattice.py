@@ -28,7 +28,9 @@ rectangle has neighbours ``t +- 1`` and ``t +- cols``; of a hexagonal
 board ``t +- 1`` and, by the parity of ``i + j``, ``t + cols`` or
 ``t - cols``; of a triangle ``t +- 1`` and two each in the rows above and
 below, which a bounded patch finds from its shrinking row widths.  A torus
-wraps the rows and sorts each vertex's ids.
+wraps the rows and sorts each vertex's ids.  ``Lattice.point_maps`` lists
+generators of the point group as id lists, built from reversed, shifted
+and interleaved rows.
 
 Lattices are immutable values and every operation is a pure function, so
 instances can be shared freely across threads.
@@ -138,10 +140,14 @@ class Lattice:
     def row_ids(self) -> list[range]:
         """The vertex ids of each row, in row order: they tile
         ``range(vertex_count)``."""
+        n = self.cols
+        if self.kind is not LatticeKind.TRIANGULAR or self.torus:
+            return [range(start, start + n) for start in range(0, self.rows * n, n)]
+        # Row i of a triangle patch holds n - i + 1 ids.
         rows, start = [], 0
-        for i in range(1, self.rows + 1):
-            rows.append(range(start, start + self._row_width(i)))
-            start = rows[-1].stop
+        for width in range(n, 0, -1):
+            rows.append(range(start, start + width))
+            start += width
         return rows
 
     # -- adjacency ----------------------------------------------------------
@@ -223,6 +229,78 @@ class Lattice:
             tuples[1 - s :: 2] = _zip_present(up[1 - s :: 2], left[1 - s :: 2], right[1 - s :: 2])
             adj += self._ascending(tuples)
         return adj
+
+    # -- symmetry -----------------------------------------------------------
+
+    def point_maps(self) -> list[list[int]]:
+        """Generators of the lattice's point group, none of them the
+        identity: entry t of a map is the id of vertex t's image.
+
+        Bounded rect m x n: the row flip and the column flip, or when m = n
+        the row flip and the transpose, which generate all eight maps of
+        the square.  ``tri:s``: the transpose (i, j) -> (j, i) and the row
+        reversal (i, j) -> (i, s + 2 - i - j), two swaps of (i - 1, j - 1,
+        s + 1 - i - j) that generate all six permutations.  Bounded hex
+        m x n, by the brick-wall parity rule: the row flip when m is even,
+        the column flip when n is odd, and the 180-degree rotation when m is
+        odd and n even (with m even and n odd it is the flips' product).
+
+        A torus's maps fix vertex 0 and act on 0-based offsets (i, j): a
+        rect torus has (-i, j) and (i, -j), or when square (-i, j) and the
+        transpose.  A tri torus has -(i, j), or when square the reflection
+        (i, j) -> (-i, i + j) and the transpose, whose product is a
+        rotation of order 6, so they generate all twelve maps.  A hex
+        torus has none.
+        """
+        m, n, kind = self.rows, self.cols, self.kind
+        if self.torus and kind is LatticeKind.HEXAGONAL:
+            return []
+        rows = self.row_ids()
+        if self.torus:
+            # Offset (i, j) has id i * n + j, and up[i] holds the ids of row -i.
+            up = rows[:1] + rows[:0:-1]
+            if kind is LatticeKind.RECTANGULAR:
+                turn = self._transpose(rows) if m == n else self._mirror(rows)
+                return [list(chain.from_iterable(up)), turn]
+            if m != n:
+                return [self._mirror(up)]
+            # Row i goes to row -i, shifted left by i columns.
+            reflection = list(chain.from_iterable(chain(r[i:], r[:i]) for i, r in enumerate(up)))
+            return [reflection, self._transpose(rows)]
+        if kind is LatticeKind.TRIANGULAR:
+            return [self._transpose(rows), self._flip_cols(rows)] if m > 1 else []
+        flip_rows = list(chain.from_iterable(reversed(rows)))
+        if kind is LatticeKind.RECTANGULAR:
+            maps = [flip_rows] if m > 1 else []
+            if n > 1:
+                maps.append(self._transpose(rows) if m == n else self._flip_cols(rows))
+            return maps
+        maps = [flip_rows] if m % 2 == 0 else []
+        if n % 2 == 1 and n > 1:
+            maps.append(self._flip_cols(rows))
+        if m % 2 == 1 and n % 2 == 0:
+            maps.append(list(range(self.vertex_count - 1, -1, -1)))
+        return maps
+
+    @staticmethod
+    def _transpose(rows: list[range]) -> list[int]:
+        """(i, j) -> (j, i) on a square board or a triangle patch, given
+        the ids of each row."""
+        if len(rows[0]) == len(rows[-1]):
+            return list(chain.from_iterable(zip(*rows)))
+        # Column i of a triangle patch is entry i of its first len(row i) rows.
+        return [row[i] for i, r in enumerate(rows) for row in rows[: len(r)]]
+
+    @staticmethod
+    def _flip_cols(rows: list[range]) -> list[int]:
+        """The ids of rows, each read backwards."""
+        return list(chain.from_iterable(r[::-1] for r in rows))
+
+    @staticmethod
+    def _mirror(rows: list[range]) -> list[int]:
+        """The ids of rows, each read from column 0 backwards around the
+        torus: (i, j) -> (i, -j) on the rows as given."""
+        return list(chain.from_iterable(chain(r[:1], r[:0:-1]) for r in rows))
 
     # -- descriptors --------------------------------------------------------
 

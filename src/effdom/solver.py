@@ -19,17 +19,26 @@ Every torus lattice is vertex-transitive, so an automorphism maps some
 optimal 2-packing onto one that holds vertex 0.  The include-first
 preorder enters that whole subtree before any node that skips vertex 0,
 so the first optimum lies in it and the skip-0 subtree cannot strictly
-beat it.  On a rect or tri torus every translation is an automorphism
-too, and the search also keeps the difference rule: once the second
-member s2 is chosen, it forbids each later vertex v that some member u
-meets with v - u or u - v at an offset whose row-major id is below s2,
-and it refuses an s2 whose negative -s2 has an id below s2.  The first
-optimum S* is the lex-leader of its orbit (Crawford, Ginsberg, Luks &
-Roy, KR 1996): S* translated by -u, for a member u, is an optimum
-holding 0 and v - u, and an id of v - u below s2 would give it a
-smaller second member and put it before S* in include-first preorder.
-So S* obeys the rule and stays the first optimum.  Its ``explored``
-counts the search nodes entered under this bound and these rules.
+beat it.
+
+The search also keeps an orbit rule from the lattice's point group,
+which ``Lattice.point_maps`` generates; a vertex's lead is the smallest
+id in its orbit.  The first optimum S* is the lex-leader of its orbit
+under every automorphism g (Crawford, Ginsberg, Luks & Roy, KR 1996):
+g(S*) is an optimum too, and an image g(u) below S*'s first member s1
+would put g(S*) before S* in include-first preorder.  So on a bounded
+board the search refuses a first member that does not lead its orbit
+and, once s1 is chosen, forbids every vertex whose lead is below s1.  On
+a rect or tri torus every translation is an automorphism too, and the
+point maps fix vertex 0: S* translated by minus a member u and mapped by
+g is an optimum holding 0 and g(v - u) for each member v, so once the
+second member s2 is chosen no two members differ by an offset whose lead
+is below s2, and s2 leads its orbit.  S* obeys both rules and stays the
+first optimum.  The orbit of a lead is found, by a closure over the
+generators, only when the path of first-member (on a torus,
+second-member) candidates reaches it.  Hex tori and pendant-augmented
+graphs have no point map.  ``explored`` counts the search nodes entered
+under the bound and these rules.
 
 ``dp_F_rect`` sweeps a bounded rectangular grid column by column with a
 two-column bitmask profile:
@@ -139,8 +148,8 @@ class SolveResult:
 
     ``explored`` counts the search nodes entered for ``brute_force_F``:
     the root, or on a torus the include-vertex-0 child the search starts
-    at, and every node entered below it; on a rect or tri torus, only
-    nodes whose members obey the difference rule.
+    at, and every node entered below it whose members obey the orbit rule
+    of the lattice's point group (see the ``solver`` module docstring).
     For ``dp_F_rect`` it counts the slot values the sweep produced,
     len(canonical) for each column whose vector is produced: columns 1
     and 2, built in closed form, and every later swept column, stepped.
@@ -180,14 +189,14 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     sound only while ``test_torus_maps_every_vertex_to_zero`` in
     ``tests/test_solver.py`` finds such an automorphism for every vertex.
 
-    On a rect or tri torus, the search also enters only sets whose member
-    differences all have row-major ids of at least the second member s2
-    (see the module docstring).  Translating the witness by minus any
-    member gives an optimum holding vertex 0, so a smaller difference
-    would make that optimum come first; the rule keeps F and the witness.
-    It is sound only while ``test_torus_translations_are_automorphisms``
-    finds that every translation maps these tori onto themselves.  Hex
-    tori and bounded boards keep the plain search.
+    The search also keeps the orbit rule of the module docstring: the
+    witness is the lex-leader of its orbit under the point group that
+    ``graph.point_maps()`` generates, so the rule keeps F and the witness.
+    It is sound only while ``test_point_maps_are_automorphisms`` finds
+    that each listed map is a bijection of the ids that maps
+    ``compiled.adj`` onto itself, and on a torus fixes vertex 0, and
+    while ``test_torus_translations_are_automorphisms`` finds that every
+    translation maps the rect and tri tori onto themselves.
     """
     count = graph.vertex_count
     if count > limit:
@@ -213,48 +222,70 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
         reach[t] = reach[t + 1] | closed[t]
 
     torus = isinstance(graph, Lattice) and graph.torus
+    maps = graph.point_maps() if isinstance(graph, Lattice) else []
     if torus and graph.kind is not LatticeKind.HEXAGONAL:
         best_value, best_chosen, explored = _translation_search(
-            graph.rows, graph.cols, closed, weights, reach
+            graph.cols, maps, closed, weights, reach
         )
     else:
-        # The search starts at the root (no vertex chosen, value 0) or, on a
-        # hex torus, at the root's include-vertex-0 child: the first optimum
-        # reached.  The loop stays in this function: CPython 3.11 specialises
-        # a function's bytecode after a few entries or `for` iterations, not
-        # `while` iterations, so a helper called once would run this loop
-        # unspecialised (rect:8x8 7.0 -> 9.6 ms, 2-vCPU box).
-        start = (1, weights[0], closed[0], 1) if torus else (0, 0, 0, 0)
-        _, best_value, _, best_chosen = start
-        explored = 0
+        # The root path: node (s1, nothing chosen) is the skip child of the
+        # one before, and its include child holds the first member s1.  Once
+        # every orbit led by an id below s1 is marked, bit count of closed[u]
+        # is set exactly when u's orbit holds an id below s1: s1 is refused
+        # when it is marked, and with s1 chosen ``covered`` holds bit count,
+        # so ``covered & closed[u]`` also forbids every marked u.  With no
+        # point maps nothing is marked and bit count is never set.  On a hex
+        # torus the search is the include-vertex-0 child alone, and the root
+        # is not counted.
+        orbit_mark = 1 << count if maps else 0
+        best_value = best_chosen = 0
+        explored = -torus
         # Each entry is a skip branch still to enter: (t, value, covered, chosen).
-        stack = [start]
+        stack = []
         push = stack.append
         pop = stack.pop
-        while stack:
-            t, value, covered, chosen = pop()
-            # Walk the include-first spine: the popped node and each step to
-            # t + 1 enter one node, so the walk enters 1 + (final t - popped
-            # t) nodes.  A failed loop test prunes the node just entered;
-            # reach[count] is 0 and value never exceeds best_value, so the
-            # spine also ends after the last vertex.
-            explored += 1 - t
-            while value + (reach[t] & ~covered).bit_count() > best_value:
-                mask = closed[t]
-                # Chosen closed neighbourhoods are disjoint, so t can join
-                # exactly when none of its closed neighbourhood is covered.
-                if not covered & mask:
-                    push((t + 1, value, covered, chosen))
-                    covered |= mask
-                    chosen |= 1 << t
-                    value += weights[t]
-                    # Only an include raises the value; a skip child keeps
-                    # its parent's value, which never beats best_value.
-                    if value > best_value:
-                        best_value = value
-                        best_chosen = chosen
-                t += 1
-            explored += t
+        for s1 in range(1 if torus else count + 1):
+            explored += 1
+            if reach[s1].bit_count() <= best_value:
+                break
+            if closed[s1] & orbit_mark:
+                continue
+            value = weights[s1]
+            if value > best_value:
+                best_value = value
+                best_chosen = 1 << s1
+            push((s1 + 1, value, closed[s1] | orbit_mark, 1 << s1))
+            # The loop stays in this function: CPython 3.11 specialises a
+            # function's bytecode after a few entries or `for` iterations, not
+            # `while` iterations, so a helper called once would run this loop
+            # unspecialised (rect:8x8 7.0 -> 9.6 ms, 2-vCPU box).
+            while stack:
+                t, value, covered, chosen = pop()
+                # Walk the include-first spine: the popped node and each step
+                # to t + 1 enter one node, so the walk enters 1 + (final t -
+                # popped t) nodes.  A failed loop test prunes the node just
+                # entered; reach[count] is 0 and value never exceeds
+                # best_value, so the spine also ends after the last vertex.
+                explored += 1 - t
+                while value + (reach[t] & ~covered).bit_count() > best_value:
+                    mask = closed[t]
+                    # Chosen closed neighbourhoods are disjoint, so t can join
+                    # exactly when none of its closed neighbourhood is covered.
+                    if not covered & mask:
+                        push((t + 1, value, covered, chosen))
+                        covered |= mask
+                        chosen |= 1 << t
+                        value += weights[t]
+                        # Only an include raises the value; a skip child keeps
+                        # its parent's value, which never beats best_value.
+                        if value > best_value:
+                            best_value = value
+                            best_chosen = chosen
+                    t += 1
+                explored += t
+            if orbit_mark:
+                for u in _orbit(maps, s1):
+                    closed[u] |= orbit_mark
 
     # Compiled order is row-major with pendants last, the order of
     # normalize_set, so the members are listed as read.
@@ -266,37 +297,37 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     return SolveResult(f_value=best_value, witness=witness, explored=explored, elapsed=elapsed)
 
 
+def _orbit(maps: list[list[int]], t: int) -> list[int]:
+    """The ids of t's orbit under the group that ``maps`` generate."""
+    orbit = [t]
+    for u in orbit:
+        for image in maps:
+            v = image[u]
+            if v not in orbit:
+                orbit.append(v)
+    return orbit
+
+
 def _translation_search(
-    rows: int, cols: int, closed: list[int], weights: list[int], reach: list[int]
+    cols: int, maps: list[list[int]], closed: list[int], weights: list[int], reach: list[int]
 ) -> tuple[int, int, int]:
     """(best value, best chosen mask, nodes entered) of
-    ``brute_force_F``'s search from the include-vertex-0 child of a
-    rows x cols rect or tri torus, under the difference rule: once the
-    second member s2 is chosen, no two members differ by an offset whose
-    id is below s2, and no s2 has a negative with a smaller id.  A loop
-    of its own, so that other graphs keep their per-node work.
+    ``brute_force_F``'s search from the include-vertex-0 child of a rect or
+    tri torus with ``cols`` columns, under the orbit rule: s2, the second
+    member, leads its orbit under ``maps``, and no member differs from
+    another by an offset in near, the orbits whose lead is below s2.  A
+    loop of its own, so that other graphs keep their per-node work.
 
-    Bits count..2 count - 1 of ``covered`` are a second plane, the
-    vertices the rule forbids, and vertex t's mask carries bit count + t,
-    so the one test ``covered & mask`` checks both rules.  Before s2 the
-    plane holds every vertex whose negative has a smaller id.  Choosing
-    s2 replaces it with near[s2] translated to vertices 0 and s2, and
-    each later member u adds near[s2] translated to u.  Nodes are
-    entered in include-first preorder, so every node with two or more
-    members lies in the subtree of the latest s2, and one table per s2
-    serves them.
+    The nodes with vertex 0 alone chosen form a path, one per candidate
+    s2, and near grows along it by the orbit of each lead passed.  Bits
+    count..2 count - 1 of ``covered`` are a second plane, the vertices the
+    rule forbids, and vertex t's mask carries bit count + t, so the one
+    test ``covered & mask`` checks both rules.  Choosing s2 puts near
+    translated to vertices 0 and s2 in the plane, and each later member u
+    adds near translated to u.
     """
     count = len(closed)
     low = (1 << count) - 1
-    # Vertex d = (i, j), id i * cols + j, is also the offset (i, j); neg[d]
-    # is the id of -d.
-    neg = [-i % rows * cols + -j % cols for i in range(rows) for j in range(cols)]
-    # near[k]: every offset with id below k and its negative.  This `for`
-    # loop also gets the bytecode specialised before the search starts (see
-    # the comment on the loop in brute_force_F).
-    near = [0] * count
-    for d in range(1, count):
-        near[d] = near[d - 1] | 1 << d - 1 | 1 << neg[d - 1]
     # Column 0 of every row; a translate by (a, b) rotates each row by b,
     # then the rows by a.
     first = sum(1 << i for i in range(0, count, cols))
@@ -309,39 +340,53 @@ def _translation_search(
         return (x << a * cols | x >> count - a * cols) & low
 
     marked = [mask | 1 << count + t for t, mask in enumerate(closed)]
-    refused = sum(1 << count + t for t in range(count) if neg[t] < t)
+    zero = closed[0]
     best_value = weights[0]
     best_chosen = 1
     explored = 0
-    stack = [(1, best_value, marked[0] | refused, 1)]
+    # Every map fixes vertex 0, whose orbit is {0}.
+    near = 1
+    stack = []
     push = stack.append
     pop = stack.pop
-    # The walk of brute_force_F's loop; only the include step differs.
-    while stack:
-        t, value, covered, chosen = pop()
-        explored += 1 - t
-        while value + (reach[t] & ~covered).bit_count() > best_value:
-            mask = marked[t]
-            if not covered & mask:
-                push((t + 1, value, covered, chosen))
-                if chosen == 1:
-                    # t is s2: cover[u] is u's mask and its forbidden
-                    # plane, computed once per u.
-                    around = near[t]
-                    cover = [0] * count
-                    covered = covered & low | mask | (around | translate(around, t)) << count
-                else:
-                    spread = cover[t]
-                    if not spread:
-                        spread = cover[t] = mask | translate(around, t) << count
-                    covered |= spread
-                chosen |= 1 << t
-                value += weights[t]
-                if value > best_value:
-                    best_value = value
-                    best_chosen = chosen
-            t += 1
-        explored += t
+    for s2 in range(1, count + 1):
+        # Node (s2, {0}), the skip child of the one before.
+        explored += 1
+        if weights[0] + (reach[s2] & ~zero).bit_count() <= best_value:
+            break
+        if near >> s2 & 1:
+            continue
+        mask = marked[s2]
+        if not zero & mask:
+            value = weights[0] + weights[s2]
+            chosen = 1 | 1 << s2
+            if value > best_value:
+                best_value = value
+                best_chosen = chosen
+            # cover[u] is u's mask and its forbidden plane, computed once per u.
+            cover = [0] * count
+            push((s2 + 1, value, zero | mask | (near | translate(near, s2)) << count, chosen))
+            # The walk of brute_force_F's loop; only the include step differs.
+            while stack:
+                t, value, covered, chosen = pop()
+                explored += 1 - t
+                while value + (reach[t] & ~covered).bit_count() > best_value:
+                    mask = marked[t]
+                    if not covered & mask:
+                        push((t + 1, value, covered, chosen))
+                        spread = cover[t]
+                        if not spread:
+                            spread = cover[t] = mask | translate(near, t) << count
+                        covered |= spread
+                        chosen |= 1 << t
+                        value += weights[t]
+                        if value > best_value:
+                            best_value = value
+                            best_chosen = chosen
+                    t += 1
+                explored += t
+        for u in _orbit(maps, s2):
+            near |= 1 << u
     return best_value, best_chosen, explored
 
 

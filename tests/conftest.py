@@ -166,16 +166,71 @@ def reference_dp_rect(m, n):
     return max(states.values())
 
 
-def _recursive_search(graph, bound, torus_cut, difference_rule):
+def reference_point_group(lattice):
+    """Every map of the lattice's point group, the identity included, as a
+    function on coordinates, written out element by element: on a bounded
+    board on its 1-based vertices, on a torus on 0-based offsets (i, j),
+    each map fixing the offset (0, 0).  Kept as the oracle for the orbits
+    that ``brute_force_F`` builds from ``Lattice.point_maps``."""
+    m, n, kind = lattice.rows, lattice.cols, lattice.kind
+    if lattice.torus:
+        if kind is LatticeKind.HEXAGONAL:
+            return [lambda i, j: (i, j)]
+        if kind is LatticeKind.TRIANGULAR and m == n:
+            # The six rotations of the triangular lattice, each also
+            # followed by the transpose.
+            rotations = [
+                lambda i, j: (i, j),
+                lambda i, j: (-j, i + j),
+                lambda i, j: (-i - j, i),
+                lambda i, j: (-i, -j),
+                lambda i, j: (j, -i - j),
+                lambda i, j: (i + j, -i),
+            ]
+            return rotations + [lambda i, j, g=g: g(i, j)[::-1] for g in rotations]
+        if kind is LatticeKind.TRIANGULAR:
+            return [lambda i, j: (i, j), lambda i, j: (-i, -j)]
+        signs = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+        group = [lambda i, j, a=a, b=b: (a * i, b * j) for a, b in signs]
+    elif kind is LatticeKind.TRIANGULAR:
+
+        def permuted(p):
+            def image(i, j):
+                a = (i - 1, j - 1, m + 1 - i - j)
+                return a[p[0]] + 1, a[p[1]] + 1
+
+            return image
+
+        return [permuted(p) for p in itertools.permutations(range(3))]
+    else:
+        # Sign -1 flips that coordinate.  On a brick wall a flip must keep
+        # the parity of i + j at each vertical edge's lower end.
+        signs = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+        if kind is LatticeKind.HEXAGONAL:
+            signs = [(a, b) for a, b in signs if ((a < 0) * m + (b < 0) * (n + 1)) % 2 == 0]
+        group = [
+            lambda i, j, a=a, b=b: (i if a > 0 else m + 1 - i, j if b > 0 else n + 1 - j)
+            for a, b in signs
+        ]
+    if kind is LatticeKind.RECTANGULAR and m == n:
+        group += [lambda i, j, g=g: g(j, i) for g in group]
+    return group
+
+
+def _recursive_search(graph, bound, torus_cut, orbit_rule):
     """Exact (F, witness, explored) by the recursive include-first search
     over coverage counts.  A node is cut once value + bound(t, coverage)
     cannot beat the best value found so far.  With torus_cut, a torus
     lattice's search starts at the root's include-vertex-0 child, which
-    counts as the first node, and the root is not entered.  With
-    difference_rule too, on a rect or tri torus a vertex joins only when
-    each member differs from it both ways by an offset (taken mod the
-    periods) whose row-major id is at least the second member's id; a
-    candidate second member counts as that member."""
+    counts as the first node, and the root is not entered.
+
+    With orbit_rule, a vertex's lead is the smallest row-major id of its
+    images under ``reference_point_group``.  On a bounded lattice a vertex
+    joins only when its lead is at least the first member's id (a
+    candidate first member counts as that member).  With torus_cut too, on
+    a rect or tri torus a vertex v joins only when, for each member u, the
+    offset v - u (taken mod the periods) has a lead at least the second
+    member's id; a candidate second member counts as that member."""
     adjacency = reference_adjacency(graph)
     order = list(adjacency)
     count = len(order)
@@ -183,17 +238,26 @@ def _recursive_search(graph, bound, torus_cut, difference_rule):
     weights = [1 + len(adjacency[v]) for v in order]
     closed = [[index[v]] + [index[u] for u in adjacency[v]] for v in order]
     optimistic = bound(weights, closed)
+    lattice = graph if isinstance(graph, Lattice) else None
+    bounded = orbit_rule and lattice is not None and not lattice.torus
     translated = (
         torus_cut
-        and difference_rule
-        and isinstance(graph, Lattice)
-        and graph.torus
-        and graph.kind is not LatticeKind.HEXAGONAL
+        and orbit_rule
+        and lattice is not None
+        and lattice.torus
+        and lattice.kind is not LatticeKind.HEXAGONAL
     )
+    group = reference_point_group(lattice) if bounded or translated else []
 
-    def offset_id(u, v):
-        # The row-major id of the offset v - u on the torus.
-        return (v[0] - u[0]) % graph.rows * graph.cols + (v[1] - u[1]) % graph.cols
+    def lead(v):
+        return min(index[g(*v)] for g in group)
+
+    def offset_lead(u, v):
+        # The smallest row-major id of an image of the torus offset v - u.
+        m, n = graph.rows, graph.cols
+        return min(
+            i % m * n + j % n for i, j in (g(v[0] - u[0], v[1] - u[1]) for g in group)
+        )
 
     coverage = [0] * count
     chosen = []
@@ -204,11 +268,12 @@ def _recursive_search(graph, bound, torus_cut, difference_rule):
     def may_join(t):
         if not all(coverage[x] == 0 for x in closed[t]):
             return False
-        if not translated:
-            return True
-        s2 = chosen[1] if len(chosen) > 1 else t
-        v = order[t]
-        return all(min(offset_id(order[u], v), offset_id(v, order[u])) >= s2 for u in chosen)
+        if bounded:
+            return lead(order[t]) >= (chosen[0] if chosen else t)
+        if translated:
+            s2 = chosen[1] if len(chosen) > 1 else t
+            return all(offset_lead(order[u], order[t]) >= s2 for u in chosen)
+        return True
 
     def dfs(t, value):
         nonlocal best_value, best_set, explored
@@ -254,14 +319,14 @@ def _suffix_sum(weights, closed):
     return lambda t, coverage: suffix[t]
 
 
-def reference_brute_force(graph, torus_cut=True, difference_rule=True):
+def reference_brute_force(graph, torus_cut=True, orbit_rule=True):
     """The recursive form of ``brute_force_F``, bounded by the uncovered
     vertices that a later vertex could still dominate; kept as the oracle
     for its values, witnesses and node counts.  With torus_cut=False a
     torus is searched from the root, as on any other graph, and with
-    difference_rule=False a rect or tri torus is searched from the
-    include-vertex-0 child without the difference rule."""
-    return _recursive_search(graph, _uncovered_reach, torus_cut, difference_rule)
+    orbit_rule=False a bounded lattice is searched without the orbit rule
+    and a rect or tri torus from the include-vertex-0 child without it."""
+    return _recursive_search(graph, _uncovered_reach, torus_cut, orbit_rule)
 
 
 def reference_suffix_search(graph):
@@ -270,7 +335,7 @@ def reference_suffix_search(graph):
     branches that cannot beat the best value so far, so both keep the
     first optimum in include-first preorder: F and witness must match
     ``reference_brute_force`` and ``brute_force_F``."""
-    return _recursive_search(graph, _suffix_sum, torus_cut=True, difference_rule=True)
+    return _recursive_search(graph, _suffix_sum, torus_cut=True, orbit_rule=True)
 
 
 def reference_knight(n):

@@ -184,16 +184,16 @@ GOLDEN = {
     "solve-rect:20x3-auto": (0, "ded2a9bacaf3b395212d2ae5336d8185ca5a0dc70b9c7843716dd97302422c5d"),
     "solve-rect:20x3-dp": (0, "ded2a9bacaf3b395212d2ae5336d8185ca5a0dc70b9c7843716dd97302422c5d"),
     "solve-rect:4x9-auto": (0, "0d18efe7c737a4e43a831fe9918ed7c8afcfd5c96af59db65f68b1f352ca27dc"),
-    "solve-rect:4x9-brute": (0, "158baac52f659c4758c5311746721ab85af1464432ddc1c1674663df24ac12b2"),
+    "solve-rect:4x9-brute": (0, "95fa7459423f1bd5ea9f741e7924549c9cd97f1593700793a3d8127e67cae5de"),
     "solve-rect:4x9-dp": (0, "0d18efe7c737a4e43a831fe9918ed7c8afcfd5c96af59db65f68b1f352ca27dc"),
     "solve-rect:5x5-auto": (0, "dbfb762f662ea14e60df2e7ac4cbad876a5536764ebf805c70d3e0609bdc7db6"),
-    "solve-rect:5x5-brute": (0, "3b1a29ce29c93ec28c51cc3701b9b8731886e2b8b757836c158972d87204d588"),
+    "solve-rect:5x5-brute": (0, "dff52d68a471b8176927e586e6c3eb79a1430201297978d4965745b2f9b8ef24"),
     "solve-rect:5x5-dp": (0, "dbfb762f662ea14e60df2e7ac4cbad876a5536764ebf805c70d3e0609bdc7db6"),
     "solve-rect:8x8-brute": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "solve-tri-torus:4x4-auto": (0, "2ac6a94b226fd0b149d7b7f0d32bbbac89ede42a52c50e0f4dda97a948ab809d"),
     "solve-tri-torus:4x4-brute": (0, "2ac6a94b226fd0b149d7b7f0d32bbbac89ede42a52c50e0f4dda97a948ab809d"),
-    "solve-tri:6-auto": (0, "dbe1a7c516187de0c4ebc0a3e41426f8100066b7f6534f6d58a8db87523879e7"),
-    "solve-tri:6-brute": (0, "dbe1a7c516187de0c4ebc0a3e41426f8100066b7f6534f6d58a8db87523879e7"),
+    "solve-tri:6-auto": (0, "f013e10471294192d89974f958f334e26ee8cba04c5bd3b9c2a4c9719edc4429"),
+    "solve-tri:6-brute": (0, "f013e10471294192d89974f958f334e26ee8cba04c5bd3b9c2a4c9719edc4429"),
     "solve-tri:6-dp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "table-7-10": (0, "6a18e1152dca787e776c40cb84d0279b81ec6fc3e56f75b3d0431de9b12267c4"),
     "table-7-20-width-9": (0, "6dfd83bf46cfe31136e8f6938bc75e57550904e91a4c6874b067d784f2c0f65a"),

@@ -8,6 +8,7 @@ from conftest import (
     exhaustive_max_influence,
     reference_brute_force,
     reference_dp_rect,
+    reference_point_group,
     reference_suffix_search,
 )
 from effdom.lattice import MAX_VERTICES, Lattice, LatticeKind, hexa, rect, tri
@@ -141,11 +142,11 @@ def test_brute_keeps_suffix_bound_optimum(graph):
 @pytest.mark.parametrize(
     "descriptor, f_value, explored",
     [
-        ("hex:6x8", 47, 532),
+        ("hex:6x8", 47, 527),
         ("hex-torus:6x8", 48, 3_998),
-        ("rect:7x7", 44, 9_060),
-        ("rect-torus:7x7", 40, 4_869),
-        ("tri:9", 39, 6_461),
+        ("rect:7x7", 44, 5_709),
+        ("rect-torus:7x7", 40, 3_503),
+        ("tri:9", 39, 3_499),
         ("tri-torus:7x7", 49, 932),
     ],
 )
@@ -202,7 +203,7 @@ def test_torus_maps_every_vertex_to_zero(lattice):
     ids=Lattice.descriptor,
 )
 def test_torus_translations_are_automorphisms(lattice):
-    # The gate of brute_force_F's difference rule on rect and tri tori:
+    # The gate of brute_force_F's orbit rule on rect and tri tori:
     # every translation (i, j) -> (i + a, j + b), taken mod the periods,
     # maps compiled.adj onto itself as an edge set.
     compiled = lattice.compiled
@@ -214,6 +215,64 @@ def test_torus_translations_are_automorphisms(lattice):
                 for i, j in compiled.order
             ]
             assert {(image[t], image[s]) for t, s in edges} == edges, (a, b)
+
+
+def _bounded(low, high):
+    """Every bounded lattice with sides in low..high: rect and hex m x n
+    and the triangle patches."""
+    return [
+        Lattice(kind, m, n)
+        for kind in (LatticeKind.RECTANGULAR, LatticeKind.HEXAGONAL)
+        for m in range(low, high + 1)
+        for n in range(low, high + 1)
+    ] + [tri(s) for s in range(low, high + 1)]
+
+
+def _orbits(count, maps):
+    """The orbits of range(count) under the group that the id lists
+    ``maps`` generate, as a set of frozensets."""
+    seen, orbits = set(), set()
+    for t in range(count):
+        if t in seen:
+            continue
+        orbit, todo = {t}, [t]
+        while todo:
+            u = todo.pop()
+            for image in maps:
+                if image[u] not in orbit:
+                    orbit.add(image[u])
+                    todo.append(image[u])
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+@pytest.mark.parametrize("lattice", _bounded(1, 8) + _tori(3, 8), ids=Lattice.descriptor)
+def test_point_maps_are_automorphisms(lattice):
+    # The gate of brute_force_F's orbit rule: each listed map is a
+    # bijection on the ids that maps compiled.adj onto itself as an edge
+    # set, and on a torus it fixes vertex 0.  Their orbits are those of
+    # the whole point group, written out in reference_point_group.
+    compiled = lattice.compiled
+    count = len(compiled.order)
+    edges = {(t, s) for t, ids in enumerate(compiled.adj) for s in ids}
+    maps = lattice.point_maps()
+    for image in maps:
+        assert sorted(image) == list(range(count))
+        assert image != list(range(count))
+        assert {(image[t], image[s]) for t, s in edges} == edges
+        assert not lattice.torus or image[0] == 0
+    if lattice.torus:
+        m, n = lattice.rows, lattice.cols
+        group = [
+            [g(i, j)[0] % m * n + g(i, j)[1] % n for i in range(m) for j in range(n)]
+            for g in reference_point_group(lattice)
+        ]
+    else:
+        group = [
+            [compiled.index[g(*v)] for v in compiled.order] for g in reference_point_group(lattice)
+        ]
+    assert _orbits(count, maps) == _orbits(count, group)
 
 
 SMALL_TORI = [lattice for lattice in _tori(3, 13) if lattice.vertex_count <= 40]
@@ -234,11 +293,27 @@ def test_brute_torus_cut_matches_uncut_search(lattice):
     ids=Lattice.descriptor,
 )
 def test_brute_difference_rule_matches_vertex_zero_search(lattice):
-    # The difference rule keeps F and the witness of the search from the
+    # The orbit rule keeps F and the witness of the search from the
     # include-vertex-0 child without it, and enters no more nodes: exactly
     # those of the reference search under the rule on coordinates.
     result = brute_force_F(lattice)
-    f_value, witness, explored = reference_brute_force(lattice, difference_rule=False)
+    f_value, witness, explored = reference_brute_force(lattice, orbit_rule=False)
+    assert (result.f_value, result.witness) == (f_value, witness)
+    assert result.explored <= explored
+    assert (result.f_value, result.witness, result.explored) == reference_brute_force(lattice)
+
+
+SMALL_BOUNDED = [lattice for lattice in _bounded(1, 40) if lattice.vertex_count <= 40]
+
+
+@pytest.mark.parametrize("lattice", SMALL_BOUNDED, ids=Lattice.descriptor)
+def test_brute_orbit_rule_matches_root_search(lattice):
+    # On a bounded board the orbit rule keeps F and the witness of the
+    # search from the root without it, and enters no more nodes: exactly
+    # those of the reference search under the rule on coordinates.  The
+    # tori's counterpart is the test above.
+    result = brute_force_F(lattice)
+    f_value, witness, explored = reference_brute_force(lattice, orbit_rule=False)
     assert (result.f_value, result.witness) == (f_value, witness)
     assert result.explored <= explored
     assert (result.f_value, result.witness, result.explored) == reference_brute_force(lattice)
@@ -254,7 +329,7 @@ def test_brute_difference_rule_matches_vertex_zero_search(lattice):
     ],
 )
 def test_brute_torus_past_default_limit(descriptor, f_value, perfect):
-    # The torus cut and the difference rule make these cheap (a fraction
+    # The torus cut and the orbit rule make these cheap (a fraction
     # of a second each).
     lattice = Lattice.from_descriptor(descriptor)
     result = brute_force_F(lattice, limit=lattice.vertex_count)
@@ -297,10 +372,9 @@ def test_dp_small_squares():
 
 
 def test_dp_matches_brute_force_exhaustively():
-    for m in range(1, 21):
-        for n in range(m, 21):
-            if m * n > 20:
-                continue
+    # Every rectangle of at most 49 vertices, in both orientations.
+    for m in range(1, 50):
+        for n in range(1, 49 // m + 1):
             assert dp_F_rect(m, n).f_value == brute_force_F(rect(m, n)).f_value
 
 
