@@ -4,22 +4,25 @@
 graph (lattice or pendant-augmented).  Vertex t in row-major order is
 bit t: each closed neighbourhood is compiled once into an int mask, and
 the search keeps the covered and chosen vertices as two ints.  It runs
-as one loop without recursion: the loop walks the include-first spine
-inline and keeps only the pending skip branches on an explicit stack,
-so nodes are entered in the same order as the plain recursive search.
-A node at vertex t is cut unless its value plus the number of vertices
-that are still uncovered and lie in some later closed neighbourhood
-beats the best value so far.  The bound is admissible: the closed
-neighbourhoods of later includes are disjoint, uncovered and inside that
-set, and each adds its size.  So only branches that cannot strictly beat
-the best are cut, the first optimum in include-first preorder is still
-entered, and F and the witness are those of the plain search without
-cuts.  On a torus the search starts at the child that includes vertex 0.
-Every torus lattice is vertex-transitive, so an automorphism maps some
-optimal 2-packing onto one that holds vertex 0.  The include-first
-preorder enters that whole subtree before any node that skips vertex 0,
-so the first optimum lies in it and the skip-0 subtree cannot strictly
-beat it.
+without recursion: one loop walks the include-first spine inline and
+keeps only the pending skip branches on an explicit stack, so nodes are
+entered in the same order as the plain recursive search.  A node at
+vertex t is cut unless its value plus the number of vertices that are
+still uncovered and lie in some later closed neighbourhood beats the
+best value so far.  The bound is admissible: the closed neighbourhoods
+of later includes are disjoint, uncovered and inside that set, and each
+adds its size.  So only branches that cannot strictly beat the best are
+cut, the first optimum in include-first preorder is still entered, and F
+and the witness are those of the plain search without cuts.
+
+Every search grows from a base: nothing, or vertex 0 on a torus.  Every
+torus lattice is vertex-transitive, so an automorphism maps some optimal
+2-packing onto one that holds vertex 0.  The include-first preorder
+enters that whole subtree before any node that skips vertex 0, so the
+first optimum lies in it and the skip-0 subtree cannot strictly beat
+it.  The nodes that hold the base alone form one path, a node per lead
+candidate l, the next member after the base; each is the skip child of
+the one before, and the include child of each runs through the loop.
 
 The search also keeps an orbit rule from the lattice's point group,
 which ``Lattice.point_maps`` generates; a vertex's lead is the smallest
@@ -27,18 +30,28 @@ id in its orbit.  The first optimum S* is the lex-leader of its orbit
 under every automorphism g (Crawford, Ginsberg, Luks & Roy, KR 1996):
 g(S*) is an optimum too, and an image g(u) below S*'s first member s1
 would put g(S*) before S* in include-first preorder.  So on a bounded
-board the search refuses a first member that does not lead its orbit
-and, once s1 is chosen, forbids every vertex whose lead is below s1.  On
-a rect or tri torus every translation is an automorphism too, and the
-point maps fix vertex 0: S* translated by minus a member u and mapped by
-g is an optimum holding 0 and g(v - u) for each member v, so once the
-second member s2 is chosen no two members differ by an offset whose lead
-is below s2, and s2 leads its orbit.  S* obeys both rules and stays the
-first optimum.  The orbit of a lead is found, by a closure over the
-generators, only when the path of first-member (on a torus,
-second-member) candidates reaches it.  Hex tori and pendant-augmented
-graphs have no point map.  ``explored`` counts the search nodes entered
-under the bound and these rules.
+board no member's lead is below s1, the candidate l.  On a rect or tri
+torus every translation is an automorphism too, and the point maps fix
+vertex 0: S* translated by minus a member u and mapped by g is an
+optimum holding 0 and g(v - u) for each member v, so no two members
+differ by an offset whose lead is below s2, the candidate l.  Either
+way l leads its orbit, and S* obeys the rule and stays the first
+optimum.
+
+One plane encodes the rule.  ``near`` is the union of the orbits of the
+leads the path has passed, the ids whose lead is below l, and bits
+count..2 count - 1 of ``covered`` are the vertices the rule forbids:
+vertex t's mask carries bit count + t, so the one test ``covered & mask``
+checks the packing and the rule.  Choosing l puts near in the plane,
+near translated to the base, and on a torus with translations each
+member u adds near translated to u.  A lead's orbit is found, by a
+closure over the generators, only once the path goes past it, and only
+if that lead could join the base: a lead the base blocks lies within
+distance 2 of vertex 0, like its whole orbit, so no two members differ
+by an offset in it anyway.  Hex tori and pendant-augmented graphs have
+no point map and no translation; there each orbit is its lead alone,
+below every vertex the search still reaches.  ``explored`` counts the
+search nodes entered under the bound and this rule.
 
 ``dp_F_rect`` sweeps a bounded rectangular grid column by column with a
 two-column bitmask profile:
@@ -147,9 +160,10 @@ class SolveResult:
     """An exact F and an audited witness of it.
 
     ``explored`` counts the search nodes entered for ``brute_force_F``:
-    the root, or on a torus the include-vertex-0 child the search starts
-    at, and every node entered below it whose members obey the orbit rule
-    of the lattice's point group (see the ``solver`` module docstring).
+    the path of lead candidates that starts at its base, the root or on
+    a torus the include-vertex-0 child, and every node entered below it
+    under the bound and the orbit rule (see the ``solver`` module
+    docstring).
     For ``dp_F_rect`` it counts the slot values the sweep produced,
     len(canonical) for each column whose vector is produced: columns 1
     and 2, built in closed form, and every later swept column, stepped.
@@ -178,24 +192,18 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     dominate disjoint sets of such vertices, so the count bounds what the
     branch can still add, and no branch holding a strictly better set is
     cut.  The witness is therefore the first optimum in include-before-skip
-    preorder, as without any cut, and ``explored`` counts the nodes entered
-    under this bound.
+    preorder, as without any cut.
 
-    On a torus lattice the search enters only the subtree that includes
-    vertex 0.  Some automorphism sends each vertex to vertex 0, so some
-    optimal 2-packing holds it.  That subtree precedes every skip-0 node in
-    include-first preorder, so it holds the first optimum, the witness of
-    the whole search, and F and the witness are unchanged.  The cut is
-    sound only while ``test_torus_maps_every_vertex_to_zero`` in
-    ``tests/test_solver.py`` finds such an automorphism for every vertex.
-
-    The search also keeps the orbit rule of the module docstring: the
-    witness is the lex-leader of its orbit under the point group that
-    ``graph.point_maps()`` generates, so the rule keeps F and the witness.
-    It is sound only while ``test_point_maps_are_automorphisms`` finds
-    that each listed map is a bijection of the ids that maps
-    ``compiled.adj`` onto itself, and on a torus fixes vertex 0, and
-    while ``test_torus_translations_are_automorphisms`` finds that every
+    The search grows from a base, nothing or on a torus lattice vertex 0,
+    along one path of lead candidates, and keeps the orbit rule of the
+    module docstring in one forbidden plane.  The base keeps the first
+    optimum only while ``test_torus_maps_every_vertex_to_zero`` in
+    ``tests/test_solver.py`` maps each torus vertex to vertex 0 by an
+    automorphism.  The rule keeps it only while
+    ``test_point_maps_are_automorphisms`` finds that each listed map is
+    a bijection of the ids that maps ``compiled.adj`` onto itself, and on
+    a torus fixes vertex 0, and while
+    ``test_torus_translations_are_automorphisms`` finds that every
     translation maps the rect and tri tori onto themselves.
     """
     count = graph.vertex_count
@@ -208,13 +216,15 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
     compiled = graph.compiled
     order = compiled.order
     weights = [1 + len(neighbours) for neighbours in compiled.adj]
-    # Vertex t is bit t; closed[t] is the closed neighbourhood of t as a mask.
+    # Vertex t is bit t; closed[t] is the closed neighbourhood of t as a
+    # mask, and marked[t] adds bit count + t, t's place in the plane.
     closed = []
     for t, neighbours in enumerate(compiled.adj):
         mask = 1 << t
         for s in neighbours:
             mask |= 1 << s
         closed.append(mask)
+    marked = [mask | 1 << count + t for t, mask in enumerate(closed)]
     # reach[t] is the OR of closed[s] for s >= t: every vertex that some
     # later include could still dominate.
     reach = [0] * (count + 1)
@@ -223,69 +233,78 @@ def brute_force_F(graph: Any, limit: int = BRUTE_FORCE_LIMIT) -> SolveResult:
 
     torus = isinstance(graph, Lattice) and graph.torus
     maps = graph.point_maps() if isinstance(graph, Lattice) else []
-    if torus and graph.kind is not LatticeKind.HEXAGONAL:
-        best_value, best_chosen, explored = _translation_search(
-            graph.cols, maps, closed, weights, reach
-        )
+    translate = None
+    if torus:
+        first, base_value, base, base_chosen = 1, weights[0], closed[0], 1
+        if graph.kind is not LatticeKind.HEXAGONAL:
+            translate = _translator(graph.cols, count)
     else:
-        # The root path: node (s1, nothing chosen) is the skip child of the
-        # one before, and its include child holds the first member s1.  Once
-        # every orbit led by an id below s1 is marked, bit count of closed[u]
-        # is set exactly when u's orbit holds an id below s1: s1 is refused
-        # when it is marked, and with s1 chosen ``covered`` holds bit count,
-        # so ``covered & closed[u]`` also forbids every marked u.  With no
-        # point maps nothing is marked and bit count is never set.  On a hex
-        # torus the search is the include-vertex-0 child alone, and the root
-        # is not counted.
-        orbit_mark = 1 << count if maps else 0
-        best_value = best_chosen = 0
-        explored = -torus
-        # Each entry is a skip branch still to enter: (t, value, covered, chosen).
-        stack = []
-        push = stack.append
-        pop = stack.pop
-        for s1 in range(1 if torus else count + 1):
-            explored += 1
-            if reach[s1].bit_count() <= best_value:
-                break
-            if closed[s1] & orbit_mark:
-                continue
-            value = weights[s1]
-            if value > best_value:
-                best_value = value
-                best_chosen = 1 << s1
-            push((s1 + 1, value, closed[s1] | orbit_mark, 1 << s1))
-            # The loop stays in this function: CPython 3.11 specialises a
-            # function's bytecode after a few entries or `for` iterations, not
-            # `while` iterations, so a helper called once would run this loop
-            # unspecialised (rect:8x8 7.0 -> 9.6 ms, 2-vCPU box).
-            while stack:
-                t, value, covered, chosen = pop()
-                # Walk the include-first spine: the popped node and each step
-                # to t + 1 enter one node, so the walk enters 1 + (final t -
-                # popped t) nodes.  A failed loop test prunes the node just
-                # entered; reach[count] is 0 and value never exceeds
-                # best_value, so the spine also ends after the last vertex.
-                explored += 1 - t
-                while value + (reach[t] & ~covered).bit_count() > best_value:
-                    mask = closed[t]
-                    # Chosen closed neighbourhoods are disjoint, so t can join
-                    # exactly when none of its closed neighbourhood is covered.
-                    if not covered & mask:
-                        push((t + 1, value, covered, chosen))
-                        covered |= mask
-                        chosen |= 1 << t
-                        value += weights[t]
-                        # Only an include raises the value; a skip child keeps
-                        # its parent's value, which never beats best_value.
-                        if value > best_value:
-                            best_value = value
-                            best_chosen = chosen
-                    t += 1
-                explored += t
-            if orbit_mark:
-                for u in _orbit(maps, s1):
-                    closed[u] |= orbit_mark
+        first = base_value = base = base_chosen = 0
+    best_value, best_chosen = base_value, base_chosen
+    # cover[t] is what including t ORs into covered: marked[t], and on a
+    # torus with translations near translated to t, built once per lead.
+    cover = marked
+    near = explored = 0
+    owed = None
+    # Each entry is a skip branch still to enter: (t, value, covered, chosen).
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    for lead in range(first, count + 1):
+        # Node (lead, base), the skip child of the one before.
+        explored += 1
+        if base_value + (reach[lead] & ~base).bit_count() <= best_value:
+            break
+        # The last lead that joined the base is owed: its orbit joins near
+        # once the path goes past it, so the last candidate's never does.
+        if owed is not None:
+            for u in _orbit(maps, owed):
+                near |= 1 << u
+            owed = None
+        if near >> lead & 1 or base & closed[lead]:
+            continue
+        owed = lead
+        if translate:
+            cover = [0] * count
+            cover[lead] = marked[lead] | translate(near, lead) << count
+        value = base_value + weights[lead]
+        chosen = base_chosen | 1 << lead
+        if value > best_value:
+            best_value = value
+            best_chosen = chosen
+        push((lead + 1, value, base | near << count | cover[lead], chosen))
+        # The loop stays in this function: CPython 3.11 specialises a
+        # function's bytecode after a few entries or `for` iterations, not
+        # `while` iterations, so a helper called once would run this loop
+        # unspecialised (rect:8x8 7.0 -> 9.6 ms, 2-vCPU box).
+        while stack:
+            t, value, covered, chosen = pop()
+            # Walk the include-first spine: the popped node and each step
+            # to t + 1 enter one node, so the walk enters 1 + (final t -
+            # popped t) nodes.  A failed loop test prunes the node just
+            # entered; reach[count] is 0 and value never exceeds
+            # best_value, so the spine also ends after the last vertex.
+            explored += 1 - t
+            while value + (reach[t] & ~covered).bit_count() > best_value:
+                mask = marked[t]
+                # Chosen closed neighbourhoods are disjoint, so t can join
+                # exactly when none of its closed neighbourhood is covered
+                # and its bit of the plane is clear.
+                if not covered & mask:
+                    push((t + 1, value, covered, chosen))
+                    spread = cover[t]
+                    if not spread:
+                        spread = cover[t] = mask | translate(near, t) << count
+                    covered |= spread
+                    chosen |= 1 << t
+                    value += weights[t]
+                    # Only an include raises the value; a skip child keeps
+                    # its parent's value, which never beats best_value.
+                    if value > best_value:
+                        best_value = value
+                        best_chosen = chosen
+                t += 1
+            explored += t
 
     # Compiled order is row-major with pendants last, the order of
     # normalize_set, so the members are listed as read.
@@ -308,25 +327,10 @@ def _orbit(maps: list[list[int]], t: int) -> list[int]:
     return orbit
 
 
-def _translation_search(
-    cols: int, maps: list[list[int]], closed: list[int], weights: list[int], reach: list[int]
-) -> tuple[int, int, int]:
-    """(best value, best chosen mask, nodes entered) of
-    ``brute_force_F``'s search from the include-vertex-0 child of a rect or
-    tri torus with ``cols`` columns, under the orbit rule: s2, the second
-    member, leads its orbit under ``maps``, and no member differs from
-    another by an offset in near, the orbits whose lead is below s2.  A
-    loop of its own, so that other graphs keep their per-node work.
-
-    The nodes with vertex 0 alone chosen form a path, one per candidate
-    s2, and near grows along it by the orbit of each lead passed.  Bits
-    count..2 count - 1 of ``covered`` are a second plane, the vertices the
-    rule forbids, and vertex t's mask carries bit count + t, so the one
-    test ``covered & mask`` checks both rules.  Choosing s2 puts near
-    translated to vertices 0 and s2 in the plane, and each later member u
-    adds near translated to u.
-    """
-    count = len(closed)
+def _translator(cols: int, count: int) -> Any:
+    """translate(x, t): the id mask x moved by the translation that takes
+    vertex 0 to vertex t, on a rect or tri torus of count vertices in rows
+    of cols."""
     low = (1 << count) - 1
     # Column 0 of every row; a translate by (a, b) rotates each row by b,
     # then the rows by a.
@@ -339,55 +343,7 @@ def _translation_search(
         x = (x & keep) << b | x >> cols - b & wrap
         return (x << a * cols | x >> count - a * cols) & low
 
-    marked = [mask | 1 << count + t for t, mask in enumerate(closed)]
-    zero = closed[0]
-    best_value = weights[0]
-    best_chosen = 1
-    explored = 0
-    # Every map fixes vertex 0, whose orbit is {0}.
-    near = 1
-    stack = []
-    push = stack.append
-    pop = stack.pop
-    for s2 in range(1, count + 1):
-        # Node (s2, {0}), the skip child of the one before.
-        explored += 1
-        if weights[0] + (reach[s2] & ~zero).bit_count() <= best_value:
-            break
-        if near >> s2 & 1:
-            continue
-        mask = marked[s2]
-        if not zero & mask:
-            value = weights[0] + weights[s2]
-            chosen = 1 | 1 << s2
-            if value > best_value:
-                best_value = value
-                best_chosen = chosen
-            # cover[u] is u's mask and its forbidden plane, computed once per u.
-            cover = [0] * count
-            push((s2 + 1, value, zero | mask | (near | translate(near, s2)) << count, chosen))
-            # The walk of brute_force_F's loop; only the include step differs.
-            while stack:
-                t, value, covered, chosen = pop()
-                explored += 1 - t
-                while value + (reach[t] & ~covered).bit_count() > best_value:
-                    mask = marked[t]
-                    if not covered & mask:
-                        push((t + 1, value, covered, chosen))
-                        spread = cover[t]
-                        if not spread:
-                            spread = cover[t] = mask | translate(near, t) << count
-                        covered |= spread
-                        chosen |= 1 << t
-                        value += weights[t]
-                        if value > best_value:
-                            best_value = value
-                            best_chosen = chosen
-                    t += 1
-                explored += t
-        for u in _orbit(maps, s2):
-            near |= 1 << u
-    return best_value, best_chosen, explored
+    return translate
 
 
 # -- column-profile dynamic program -------------------------------------------

@@ -285,6 +285,9 @@ def test_brute_torus_cut_matches_uncut_search(lattice):
     assert (result.f_value, result.witness) == (f_value, witness)
     assert result.witness[0] == (1, 1)
     assert result.explored < explored
+    # The path of second-member candidates from vertex 0 enters exactly the
+    # nodes of the recursive search from the include-vertex-0 child.
+    assert (result.f_value, result.witness, result.explored) == reference_brute_force(lattice)
 
 
 @pytest.mark.parametrize(
