@@ -6,9 +6,10 @@ data (timings go to stderr).  Layout: keys sorted, ", " and ": " as
 separators, and an array (a list or a tuple, as in the ``json`` module) or
 object kept on one line when that line fits in 76 columns after its
 indent; otherwise each item gets its own line, indented two more spaces.
-Board-sized arrays are printed without a call per item: an array of
-coordinates ``[i, j]`` by one comprehension, and a report's coverage array
-``[[i, j], c]`` by lattice row, from a prefix per row, a string per column
+Every board-sized array reaches the printer as ``_Lines``, the one-line
+forms of its items, built by the command that owns the array: a vertex
+array by ``_coords``, and a report's coverage array ``[[i, j], c]`` by
+``_coverage``, by lattice row, from a prefix per row, a string per column
 and one per count, formatted once per command.  ``render --format svg`` is
 written row by row as it is drawn.  The argument parser is built once per
 process, and the cyclic collector is paused while a command runs (see
@@ -68,9 +69,9 @@ class _Lines:
 
 def _items(obj) -> list:
     # The encoder's hook for the one type it does not know: a _Lines array
-    # is encoded as its items.
+    # is encoded as its items, parsed back in one call.
     if type(obj) is _Lines:
-        return list(map(json.loads, obj.lines))
+        return json.loads("[" + ", ".join(obj.lines) + "]")
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -101,40 +102,35 @@ def _coverage(lattice: Lattice, report: DominationReport) -> _Lines:
     return _Lines(lines, width)
 
 
+def _coords(vertices) -> _Lines:
+    """An array of vertices: a coordinate ``(i, j)`` is formatted directly,
+    a pendant from ``vertex_to_json``."""
+    lines = [f"[{v[0]}, {v[1]}]" if type(v) is tuple else _encode(vertex_to_json(v)) for v in vertices]
+    return _Lines(lines, max(map(len, lines), default=0))
+
+
 def _report(lattice: Lattice, report: DominationReport) -> dict:
-    """``report_to_json``'s object with its coverage array from ``_coverage``."""
-    return {**summary_to_json(report), "coverage": _coverage(lattice, report)}
-
-
-def _coordinate_lines(items) -> list:
-    """The one-line form of each item of an array that is a coordinate
-    ``[i, j]``; None for any other item, and for every item when one does
-    not unpack as a pair.
-
-    One comprehension formats the whole array with no call per item.  Each
-    item is unpacked first and checked after: only a list or tuple of exact
-    ints passes, so a dict, whose keys unpack, and bools, an int subclass,
-    are left to the encoder.
-    """
-    try:
-        return [
-            f"[{i}, {j}]" if type(i) is int and type(j) is int and type(v) in _ARRAYS else None
-            for v in items
-            for i, j in (v,)
-        ]
-    except (TypeError, ValueError):
-        return [None] * len(items)
+    """``report_to_json``'s object with its arrays as ``_Lines``."""
+    return {
+        **summary_to_json(report),
+        "voids": _coords(report.voids),
+        "conflicts": _coords(report.conflicts),
+        "coverage": _coverage(lattice, report),
+    }
 
 
 def _least_width(obj) -> int:
     # Fewest characters a one-line form can take: an array of n items needs
-    # 3n (one each, ", " between, brackets), an object of n keys 7n.
+    # 3n (one each, ", " between, brackets), an object of n keys 7n.  A
+    # _Lines array that 3n does not rule out gets its exact width, so that
+    # an object holding it is not encoded only to be found too wide.
     if isinstance(obj, dict):
         return 7 * len(obj)
     if isinstance(obj, _ARRAYS):
         return 3 * len(obj)
     if type(obj) is _Lines:
-        return 3 * len(obj.lines)
+        n = len(obj.lines)
+        return 3 * n if 3 * n > WIDTH else sum(map(len, obj.lines)) + 2 * n
     return 1
 
 
@@ -152,13 +148,12 @@ def _dumps(obj, pad: str = "") -> str:
     for the one-line test only when its least width fits; an object, which
     the encoder writes in one piece, must also fit with each value at its
     own least width (a key takes at least six characters besides its
-    value).  Otherwise it is laid out item by item without being encoded.
-    There, the items of an array are first written by ``_coordinate_lines``;
-    the common case, every item a coordinate that fits its line, needs
-    nothing more.  Any other item, or one too wide, is laid out by
-    ``_dumps`` in turn.  A ``_Lines`` array is only joined, on one line or
-    one item per line; its items are parsed back and laid out as data only
-    when one is too wide for its line.
+    value).  Otherwise it is laid out item by item without being encoded,
+    each item by ``_dumps`` in turn.  A ``_Lines`` array is only joined, on
+    one line or one item per line; its items are parsed back and laid out
+    as data only when one is too wide for its line.  So a list or tuple
+    costs a call per item, and every board-sized array comes as
+    ``_Lines``.
     """
     room = WIDTH - len(pad)
     if type(obj) is _Lines:
@@ -183,19 +178,7 @@ def _dumps(obj, pad: str = "") -> str:
     if is_dict:
         items = [f"{inner}{_encode(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    room -= 2  # an item's line starts two spaces further in
-    lines = _coordinate_lines(obj)
-    # Any other item, or one too wide, is laid out by _dumps, from the first
-    # such item on; in augment's "eds" that is the pendant tail.
-    if max(map(len, filter(None, lines)), default=0) > room:
-        start = 0
-    else:
-        start = lines.index(None) if None in lines else len(lines)
-    lines[start:] = [
-        line if line is not None and len(line) <= room else _dumps(v, inner)
-        for v, line in zip(obj[start:], lines[start:])
-    ]
-    return _block(lines, pad)
+    return _block([_dumps(v, inner) for v in obj], pad)
 
 
 def _emit(obj) -> None:
@@ -237,10 +220,10 @@ def _load_set_file(path: str) -> tuple[Lattice, tuple]:
 
 
 def _audited_set(lattice: Lattice, members, report: DominationReport) -> dict:
-    # Coordinate tuples print as arrays as they are; no list per member.
+    # The members and the report's arrays go to the printer as _Lines.
     return {
         "lattice": lattice.descriptor(),
-        "set": members,
+        "set": _coords(members),
         "report": _report(lattice, report),
     }
 
@@ -327,7 +310,7 @@ def cmd_solve(args) -> int:
         {
             "lattice": lattice.descriptor(),
             "F": result.f_value,
-            "witness": result.witness,
+            "witness": _coords(result.witness),
             "explored": result.explored,
         }
     )
@@ -401,7 +384,7 @@ def cmd_motif(args) -> int:
     payload = {
         "kind": motif.kind.value,
         "periods": list(motif.periods),
-        "cells": motif.cells,
+        "cells": _coords(motif.cells),
         "density": motif.density,
         "perfect": report.is_eds,
         "report": _report(torus, report),
@@ -410,7 +393,7 @@ def cmd_motif(args) -> int:
     if args.window:
         window_report = audit(window, expansion)
         payload["window"] = window.descriptor()
-        payload["expansion"] = expansion
+        payload["expansion"] = _coords(expansion)
         payload["window_report"] = _report(window, window_report)
         board = (window, expansion, window_report)
     if args.format == "json":
@@ -427,14 +410,15 @@ def cmd_augment(args) -> int:
     lattice, members = _load_set_file(args.set_file)
     augmented, eds = constructions.near_grid_augment(lattice, members)
     report = audit(augmented, eds)
+    set_lines, pendant_lines = _coords(members), _coords(augmented.pendants)
     _emit(
         {
             "base_lattice": lattice.descriptor(),
-            "set": members,
-            "pendants": [p.to_json() for p in augmented.pendants],
+            "set": set_lines,
+            "pendants": pendant_lines,
             "vertex_count": augmented.vertex_count,
-            # Only the pendants need vertex_to_json; coordinates stay tuples.
-            "eds": [v if type(v) is tuple else vertex_to_json(v) for v in eds],
+            # eds is the members followed by the pendants: their lines joined.
+            "eds": _Lines(set_lines.lines + pendant_lines.lines, max(set_lines.width, pendant_lines.width)),
             "report": _report(lattice, report),
         }
     )

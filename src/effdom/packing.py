@@ -147,25 +147,26 @@ def set_from_json(obj: dict) -> tuple[Lattice, tuple[Coord, ...]]:
         ):
             raise ValueError(f"set entries must be [i, j] pairs, got {entry!r}")
         members.append((entry[0], entry[1]))
-    return lattice, normalize_set(members)
+    # Every member is an exact-int pair, so plain tuple order is row-major.
+    return lattice, tuple(sorted(set(members)))
 
 
 def summary_to_json(report: DominationReport) -> dict:
-    """Every field of ``report_to_json`` but the per-vertex coverage."""
+    """The scalar fields of ``report_to_json``."""
     return {
         "is_two_packing": report.is_two_packing,
         "is_eds": report.is_eds,
         "influence": report.influence,
         "dominated_count": report.dominated_count,
         "weight_sum": report.weight_sum,
-        "voids": [vertex_to_json(v) for v in report.voids],
-        "conflicts": [vertex_to_json(v) for v in report.conflicts],
     }
 
 
 def report_to_json(report: DominationReport) -> dict:
     return {
         **summary_to_json(report),
+        "voids": [vertex_to_json(v) for v in report.voids],
+        "conflicts": [vertex_to_json(v) for v in report.conflicts],
         # Coverage pairs are (vertex, count) tuples, which encode as arrays.  A
         # coordinate stays the tuple it is; only pendants need vertex_to_json.
         "coverage": [

@@ -48,31 +48,27 @@ def ascii_board(
     )
 
 
-def _positions(lattice: Lattice) -> list[tuple[float, float]]:
-    """Drawing position of each vertex, indexed by vertex id."""
-    pos = []
-    for i, j in lattice.compiled.order:
-        if lattice.kind is LatticeKind.TRIANGULAR:
-            x = (j - 1 + (i - 1) * 0.5) * CELL
-            y = (i - 1) * CELL * math.sqrt(3) / 2
-        else:
-            x = (j - 1) * CELL
-            y = (i - 1) * CELL
-        pos.append((x + CELL, y + CELL))
-    return pos
+def _labels(lattice: Lattice) -> tuple[list[str], list[str], float, float]:
+    """The x and y text of each vertex, indexed by vertex id, and the
+    drawing's width and height.
 
-
-def _grid_labels(lattice: Lattice) -> tuple[list[str], list[str]]:
-    """The x and y text of each vertex of a bounded rectangular or hexagonal
-    board, indexed by vertex id.  There x follows the column and y the row,
-    so each is formatted once per column or row and repeated by list
-    arithmetic."""
-    cols = lattice.cols
-    xs = [f"{j * CELL + CELL:.1f}" for j in range(cols)]
-    ys = []
-    for i in range(lattice.rows):
-        ys += [f"{i * CELL + CELL:.1f}"] * cols
-    return xs * lattice.rows, ys
+    x is counted in half cells: the vertex in column j of row i, both from
+    0, sits 2j half cells right of the left edge, plus i on a triangle,
+    whose rows lean by half a cell each.  So x is read from one table of
+    half-cell strings, and y is formatted once per row."""
+    triangular = lattice.kind is LatticeKind.TRIANGULAR
+    lean = 1 if triangular else 0
+    rise = math.sqrt(3) / 2 if triangular else 1  # row spacing, in cells
+    half = [f"{CELL + h * CELL / 2:.1f}" for h in range(2 * lattice.cols + lean * lattice.rows)]
+    xs, ys = [], []
+    right = 0  # the rightmost x, in half cells
+    for i, row in enumerate(lattice.row_ids()):
+        first, stop = lean * i, lean * i + 2 * len(row)
+        xs += half[first:stop:2]
+        y = i * CELL * rise + CELL
+        ys += [f"{y:.1f}"] * len(row)
+        right = max(right, stop - 2)
+    return xs, ys, right * CELL / 2 + 2 * CELL, y + CELL
 
 
 def svg_lines(
@@ -83,39 +79,27 @@ def svg_lines(
     """The SVG document in pieces that join with newlines: the header, the
     edges leaving each lattice row, the vertices of each row, the footer.
     A row that starts no edge yields no piece, so no blank line appears.
-    ``report`` is the audit of ``members`` on ``lattice``.
-
-    Float positions are computed per vertex only for a triangle, whose x
-    depends on the row too, and for a torus, whose wrap-around edges are
-    told apart by their length.  A bounded rectangular or hexagonal board
-    takes its labels from ``_grid_labels``."""
+    ``report`` is the audit of ``members`` on ``lattice``.  Coordinates
+    and the drawing's size come from ``_labels``."""
     graph = lattice.compiled
     torus = lattice.torus
-    if torus or lattice.kind is LatticeKind.TRIANGULAR:
-        pos = _positions(lattice)
-        width = max(x for x, _ in pos) + CELL
-        height = max(y for _, y in pos) + CELL
-        # Each distinct coordinate is formatted once.
-        text = {c: f"{c:.1f}" for c in {c for xy in pos for c in xy}}
-        xs, ys = [text[x] for x, _ in pos], [text[y] for _, y in pos]
-    else:
-        width, height = (lattice.cols + 1) * CELL, (lattice.rows + 1) * CELL
-        xs, ys = _grid_labels(lattice)
+    cols = lattice.cols
+    xs, ys, width, height = _labels(lattice)
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">'
     )
     rows = lattice.row_ids()
-    # On a torus, skip wrap-around edges: only draw neighbours that are
-    # geometrically close.  A bounded board has no wrap edges to skip.
-    reach = 1.8 * CELL
+    # On a torus, skip the wrap-around edges: those whose ends are more
+    # than one row or one column apart.  A torus's rows are all ``cols``
+    # wide, so ids give both; a bounded board has no wrap edges to skip.
     adj = graph.adj
     for row in rows:
         lines = [
             f'<line x1="{xs[t]}" y1="{ys[t]}" x2="{xs[s]}" y2="{ys[s]}" stroke="#555" stroke-width="1"/>'
             for t in row
             for s in adj[t]
-            if s > t and (not torus or math.hypot(pos[s][0] - pos[t][0], pos[s][1] - pos[t][1]) <= reach)
+            if s > t and (not torus or (s // cols - t // cols < 2 and abs(s % cols - t % cols) < 2))
         ]
         if lines:
             yield "\n".join(lines)

@@ -17,7 +17,7 @@ from conftest import reference_coverage_lines, reference_dumps, reference_svg_li
 from effdom import constructions, solver
 from effdom.cli import _dumps, _Lines, _report, build_parser, main
 from effdom.constructions import near_grid_augment
-from effdom.lattice import Lattice, rect, tri
+from effdom.lattice import Lattice, LatticeKind, rect, tri
 from effdom.packing import audit, normalize_set, report_to_json
 from effdom.render import RenderStyle, ascii_board, svg_lines
 
@@ -661,7 +661,11 @@ def test_coverage_by_rows_matches_reference(descriptor):
         data = report_to_json(report)
         got = _report(lattice, report)
         assert got["coverage"].lines == reference_coverage_lines(data["coverage"])
-        assert {**got, "coverage": None} == {**data, "coverage": None}
+        # The vertex arrays are _Lines too: each line is its item as encoded.
+        for key in ("voids", "conflicts"):
+            assert got[key].lines == [json.dumps(v, separators=(", ", ": ")) for v in data[key]]
+        arrays = dict.fromkeys(("voids", "conflicts", "coverage"))
+        assert {**got, **arrays} == {**data, **arrays}
         # Every indent, up to one too deep for a coverage item's own line.
         for width in range(0, 70, 3):
             pad = " " * width
@@ -708,7 +712,23 @@ def test_coverage_of_augmented_board_matches_reference(descriptor):
             assert _dumps(got, " " * width) == reference_dumps(data, " " * width)
 
 
-@pytest.mark.parametrize("descriptor", _BOARDS)
+def _small_boards():
+    # Every bounded board and torus of each kind with sides 1 to 9 that is
+    # not among _BOARDS: 275 more boards, so that each torus size meets the
+    # wrap-edge rule.
+    boards = []
+    for kind in LatticeKind:
+        for torus in (False, True):
+            for rows in range(1, 10):
+                for cols in range(1, 10):
+                    try:
+                        boards.append(Lattice(kind, rows, cols, torus).descriptor())
+                    except ValueError:
+                        continue
+    return [d for d in boards if d not in _BOARDS]
+
+
+@pytest.mark.parametrize("descriptor", _BOARDS + _small_boards())
 def test_svg_by_rows_matches_reference(descriptor):
     lattice, sets = _board_sets(descriptor)
     for members in sets:
@@ -973,13 +993,12 @@ def test_dumps_tuple_items():
 
 
 class _Int(int):
-    """An int subclass: the encoder, not the bulk path, must print it."""
+    """An int subclass: the encoder prints it as the int it holds."""
 
 
 _PENDANT = {"attached_to": [1, 2], "pendant": 0}
-# Per array shape, odd items among coordinates, which leave the one
-# comprehension, and among coverage pairs given as data, as a library
-# caller's report_to_json gives them.
+# Per array shape, odd items among coordinates and among coverage pairs
+# given as data, as a library caller's report_to_json gives them.
 _ODD_ITEMS = {
     "coordinate": {
         "bool": [True, 2],
@@ -1005,7 +1024,7 @@ _ODD_ITEMS = {
 @pytest.mark.parametrize("shape", sorted(_ODD_ITEMS))
 def test_dumps_late_odd_items(shape):
     # Long arrays of one shape whose odd items come late: one item near the
-    # end, or a tail of them as in augment's "coverage" and "eds".  Each as
+    # end, or a tail of them, as pendants follow the coordinates.  Each as
     # lists and as tuples, with the other items at the width edges.
     for width in range(0, 41, 5):
         pad = " " * width
@@ -1034,5 +1053,50 @@ def test_dumps_real_payloads(capsys, tmp_path):
     outputs.append(out)
     for kind in ("rect", "tri", "hex"):
         outputs.append(run(capsys, "motif", "--lattice", kind, "--window", "30x30")[1])
+        # Without a window the motif's cells are the one board-sized array.
+        outputs.append(run(capsys, "motif", "--lattice", kind)[1])
+    # A witness per kind.
+    for descriptor in ("rect:12x12", "tri:9", "hex:6x8"):
+        code, out, _ = run(capsys, "solve", descriptor)
+        assert code == 0 and json.loads(out)["witness"]
+        outputs.append(out)
+    # Two members far apart on a torus leave voids.
+    sparse = _write_set(tmp_path, "sparse.json", "tri-torus:9x9", [[1, 1], [5, 5]])
+    code, out, _ = run(capsys, "verify", sparse)
+    assert code == 1 and json.loads(out)["report"]["voids"]
+    outputs.append(out)
     for out in outputs:
         assert out == reference_dumps(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "knight", "--n", "30"),
+        ("verify", "@"),
+        ("solve", "rect:10x30"),
+        ("table", "--from", "7", "--to", "12"),
+        ("conjecture", "--from", "7", "--to", "12"),
+        ("motif", "--lattice", "rect", "--window", "30x30"),
+        ("motif", "--lattice", "tri"),
+        ("augment", "@"),
+        ("render", "--format", "svg", "@"),
+    ],
+    ids=["construct", "verify", "solve", "table", "conjecture", "motif-window", "motif", "augment", "render"],
+)
+def test_board_sized_arrays_reach_dumps_as_lines(capsys, tmp_path, monkeypatch, argv):
+    # A plain list or tuple is laid out with a call per item, so every
+    # board-sized array must reach _dumps as _Lines: on a 30 x 30 board no
+    # plain array of more than 16 items is passed to it, at any depth.
+    dumps, sizes = effdom.cli._dumps, []
+
+    def spy(obj, pad=""):
+        sizes.append(len(obj) if isinstance(obj, (list, tuple)) else 0)
+        return dumps(obj, pad)
+
+    monkeypatch.setattr(effdom.cli, "_dumps", spy)
+    path = _knight_file(tmp_path, 30)
+    assert main([path if a == "@" else a for a in argv]) in (0, 1)
+    assert capsys.readouterr().out
+    assert max(sizes, default=0) <= 16
+    assert bool(sizes) == (argv[0] != "render")
